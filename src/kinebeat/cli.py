@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import audio, inversion, metrics, pose, rhythm
 
 ENV_SEED = "KINEBEAT_SEED"
@@ -170,14 +168,11 @@ def _cmd_train_toy(args) -> int:
         raise ValueError(f"no *.json samples found in {data_dir}")
     dataset = []
     for path in files:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        dataset.append(
-            inversion.Sample(
-                rhythm_bits=np.asarray(doc["rhythm"]["bits"], dtype=np.float64),
-                genre=np.asarray(doc["genre"], dtype=np.float64),
-                target=np.asarray(doc["target"]),
-            )
-        )
+        data = _read_file(str(path))
+        try:
+            dataset.append(inversion.sample_from_json_dict(json.loads(data.decode("utf-8"))))
+        except ValueError as exc:  # includes malformed UTF-8 and JSON
+            raise ValueError(f"{path}: {exc}") from exc
     config = inversion.TrainingConfig(
         variant=args.variant,
         mode=args.mode,

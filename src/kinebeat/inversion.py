@@ -303,85 +303,6 @@ def _check_one_hot(g) -> np.ndarray:
     return g
 
 
-def genre_encoder_forward(params: GenreEncoderParams, g) -> np.ndarray:
-    """tanh(W g + b) for a one-hot genre vector g."""
-    g = _check_one_hot(g)
-    return np.tanh(params.weight @ g + params.bias)
-
-
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _mlp_forward(p: MlpProjector, r: np.ndarray):
-    z1 = p.w1 @ r + p.b1
-    h = np.tanh(z1)
-    out = p.w2 @ h + p.b2
-    return out, (r, h)
-
-
-def _attn_forward(p: AttnPosProjector, r: np.ndarray):
-    x = r[:, None] * p.frame_embed[None, :] + p.pos_table
-    q = x @ p.w_query.T
-    k = x @ p.w_key.T
-    v = x @ p.w_value.T
-    scale = 1.0 / math.sqrt(p.frame_embed.shape[0])
-    attn = _softmax_rows((q @ k.T) * scale)
-    o = attn @ v
-    pool = o.mean(axis=0)
-    out = p.w_out @ pool + p.b_out
-    return out, (r, x, q, k, v, attn, pool, scale)
-
-
-def rhythm_encoder_forward(params: EncoderParams, bits, dims: ModelDims = ModelDims()) -> np.ndarray:
-    """Project a rhythm sequence (values in [0, 1]) into the embedding space."""
-    r = _fit_length(bits, dims.rhythm_len)
-    if params.variant == "mlp":
-        out, _ = _mlp_forward(params.rhythm, r)
-    else:
-        out, _ = _attn_forward(params.rhythm, r)
-    return out
-
-
-def assemble_prompt_embeddings(
-    template: PromptTemplate, table: EmbeddingTable, v_genre: np.ndarray, v_rhythm: np.ndarray
-) -> np.ndarray:
-    """Look up the frozen prompt rows and substitute the two encoder outputs."""
-    d = table.entries.shape[1]
-    v_genre = np.asarray(v_genre, dtype=np.float64)
-    v_rhythm = np.asarray(v_rhythm, dtype=np.float64)
-    if v_genre.shape != (d,) or v_rhythm.shape != (d,):
-        raise ValueError(f"slot embeddings must have shape ({d},)")
-    rows = table.entries[list(template.tokens)].copy()
-    rows[template.genre_slot] = v_genre
-    rows[template.rhythm_slot] = v_rhythm
-    return rows
-
-
-def reconstruction_loss(generator: ToyGenerator, embeddings: np.ndarray, target) -> float:
-    """Loss of the frozen generator on mean-pooled prompt embeddings.
-
-    regression: mean squared error of weights @ mean(embeddings) against the
-    target vector. categorical: mean cross-entropy of the softmax over
-    weights @ mean(embeddings) against the target token id(s).
-    """
-    pooled = np.asarray(embeddings, dtype=np.float64).mean(axis=0)
-    if generator.mode == "regression":
-        target = np.asarray(target, dtype=np.float64).reshape(-1)
-        y = generator.weights @ pooled
-        if y.shape != target.shape:
-            raise ValueError(f"target shape {target.shape} does not match output {y.shape}")
-        diff = y - target
-        return float(diff @ diff / len(diff))
-    ids = np.atleast_1d(np.asarray(target)).astype(np.int64)
-    logits = generator.weights @ pooled
-    if (ids < 0).any() or (ids >= len(logits)).any():
-        raise ValueError(f"target token ids must lie in [0, {len(logits)})")
-    logz = logits.max() + math.log(np.exp(logits - logits.max()).sum())
-    return float(np.mean(logz - logits[ids]))
-
-
 def _zero_grads(params: EncoderParams) -> dict:
     return {name: np.zeros_like(block) for name, block in params.blocks().items()}
 
@@ -396,6 +317,11 @@ class PreparedBatch:
 
 
 def prepare_batch(batch, dims: ModelDims = ModelDims()) -> "PreparedBatch":
+    """Validate and stack a list of Samples; a PreparedBatch passes through.
+
+    Loops that evaluate the same batch many times (training epochs, gradient
+    check probes) prepare it once and pass the PreparedBatch on.
+    """
     if isinstance(batch, PreparedBatch):
         return batch
     batch = list(batch)
@@ -403,11 +329,18 @@ def prepare_batch(batch, dims: ModelDims = ModelDims()) -> "PreparedBatch":
         raise ValueError("batch must be nonempty")
     rhythms = np.stack([_fit_length(s.rhythm_bits, dims.rhythm_len) for s in batch])
     genres = np.stack([_check_one_hot(s.genre) for s in batch])
+    if genres.shape[1] != dims.n_genres:
+        raise ValueError(f"genre input must have {dims.n_genres} entries, got {genres.shape[1]}")
     return PreparedBatch(rhythms=rhythms, genres=genres, targets=[s.target for s in batch])
 
 
 def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBatch):
-    """Vectorized forward pass; returns pooled embeddings and a trace."""
+    """The forward pass: (pooled, v_genre, v_rhythm, trace), one row per sample.
+
+    v_genre and v_rhythm are the "@" and "*" slot embeddings; pooled is the
+    mean over the prompt with both slots substituted; trace holds the
+    rhythm projector's intermediates for the backward pass.
+    """
     n_tokens = len(frozen.template)
     v_genre = np.tanh(prep.genres @ params.genre.weight.T + params.genre.bias)
     if params.variant == "mlp":
@@ -436,7 +369,7 @@ def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBat
     rows[frozen.template.rhythm_slot] = 0.0
     fixed = rows.sum(axis=0)
     pooled = (fixed + v_genre + v_rhythm) / n_tokens
-    return pooled, v_genre, trace
+    return pooled, v_genre, v_rhythm, trace
 
 
 def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets):
@@ -460,10 +393,15 @@ def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets):
     p = np.exp(logits - logz[:, None])
     losses = np.empty(n)
     dlogits = p.copy()
+    n_vocab = logits.shape[1]
     for i, target in enumerate(targets):
-        ids = np.atleast_1d(np.asarray(target)).astype(np.int64)
-        if (ids < 0).any() or (ids >= logits.shape[1]).any():
-            raise ValueError(f"target token ids must lie in [0, {logits.shape[1]})")
+        ids = np.atleast_1d(np.asarray(target))
+        # integral floats such as 1.0 are ids; 1.7 or an empty list is not a target
+        if ids.size == 0 or (ids != np.floor(ids)).any() or (ids < 0).any() or (ids >= n_vocab).any():
+            raise ValueError(
+                f"target token ids must be a nonempty list of integers in [0, {n_vocab})"
+            )
+        ids = ids.astype(np.int64)
         losses[i] = logz[i] - logits[i, ids].mean()
         np.add.at(dlogits[i], ids, -1.0 / len(ids))
     loss = float(losses.mean())
@@ -474,7 +412,7 @@ def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets):
 def batch_loss(params: EncoderParams, frozen: FrozenModel, batch, dims: ModelDims = ModelDims()) -> float:
     """Mean reconstruction loss over a batch, forward only."""
     prep = prepare_batch(batch, dims)
-    pooled, _, _ = _batch_forward(params, frozen, prep)
+    pooled, _, _, _ = _batch_forward(params, frozen, prep)
     loss, _ = _batch_loss_grad(frozen, pooled, prep.targets)
     return loss
 
@@ -490,7 +428,7 @@ def batch_loss_and_gradients(
     prep = prepare_batch(batch, dims)
     grads = _zero_grads(params)
     n_tokens = len(frozen.template)
-    pooled, v_genre, trace = _batch_forward(params, frozen, prep)
+    pooled, v_genre, _, trace = _batch_forward(params, frozen, prep)
     loss, dpooled = _batch_loss_grad(frozen, pooled, prep.targets)
     dslot = dpooled / n_tokens  # only the two slot rows depend on parameters
     dz_g = dslot * (1.0 - v_genre * v_genre)
@@ -545,21 +483,20 @@ def train(config: TrainingConfig, dataset, dims: ModelDims = ModelDims()) -> Tra
     the final loss. Divergence (non-finite loss) raises with the epoch index.
     The frozen blocks are digest-checked before and after as a guard.
     """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
+    prep = prepare_batch(dataset, dims)
     frozen = build_frozen(dims, config.mode, config.frozen_seed)
     digests = frozen.digests()
     params = init_encoder_params(dims, config.variant, config.seed)
     history = []
     for epoch in range(config.epochs):
-        loss, grads = batch_loss_and_gradients(params, frozen, dataset, dims)
+        loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
         if not math.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss is not finite")
         history.append(loss)
         blocks = params.blocks()
         for name, grad in grads.items():
             blocks[name] -= config.learning_rate * grad
-    final = batch_loss(params, frozen, dataset, dims)
+    final = batch_loss(params, frozen, prep, dims)
     if not math.isfinite(final):
         raise RuntimeError(f"training diverged at epoch {config.epochs}: loss is not finite")
     history.append(final)
@@ -633,7 +570,8 @@ def gradcheck(
     """Compare analytic encoder gradients against central finite differences."""
     frozen = build_frozen(dims, mode, np.random.default_rng([seed, 0]).integers(2**32))
     params = init_encoder_params(dims, variant, np.random.default_rng([seed, 1]).integers(2**32))
-    batch = make_random_batch(dims, mode, n_samples, np.random.default_rng([seed, 2]))
+    raw = make_random_batch(dims, mode, n_samples, np.random.default_rng([seed, 2]))
+    batch = prepare_batch(raw, dims)  # validated once, not on every probe
     _, analytic = batch_loss_and_gradients(params, frozen, batch, dims)
     block_errors = {}
     for name, block in params.blocks().items():
@@ -683,18 +621,14 @@ def make_teacher_student_dataset(
     rng = np.random.default_rng(seed)
     teacher = init_encoder_params(dims, variant, int(rng.integers(2**32)))
     batch = make_random_batch(dims, mode, n_samples, rng)
-    dataset = []
-    for sample in batch:
-        v_g = genre_encoder_forward(teacher.genre, sample.genre)
-        v_r = rhythm_encoder_forward(teacher, sample.rhythm_bits, dims)
-        emb = assemble_prompt_embeddings(frozen.template, frozen.table, v_g, v_r)
-        out = frozen.generator.weights @ emb.mean(axis=0)
-        if mode == "regression":
-            target = out
-        else:
-            target = np.array([int(np.argmax(out))])
-        dataset.append(Sample(rhythm_bits=sample.rhythm_bits, genre=sample.genre, target=target))
-    return dataset
+    pooled, _, _, _ = _batch_forward(teacher, frozen, prepare_batch(batch, dims))
+    outputs = pooled @ frozen.generator.weights.T
+    if mode == "categorical":
+        outputs = [np.array([int(np.argmax(out))]) for out in outputs]
+    return [
+        Sample(rhythm_bits=s.rhythm_bits, genre=s.genre, target=target)
+        for s, target in zip(batch, outputs)
+    ]
 
 
 def sample_json_dict(sample: Sample, fps: float = 60.0) -> dict:
@@ -706,6 +640,38 @@ def sample_json_dict(sample: Sample, fps: float = 60.0) -> dict:
         "genre": [int(g) for g in sample.genre],
         "target": [int(t) for t in target] if target.dtype.kind in "iu" else target.tolist(),
     }
+
+
+def _number_array(value, what: str, dtype=np.float64) -> np.ndarray:
+    if not isinstance(value, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        raise ValueError(f"{what} must be a list of numbers")
+    try:
+        return np.asarray(value, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
+def sample_from_json_dict(doc) -> Sample:
+    """Inverse of sample_json_dict: checks the types and structure of one sample.
+
+    Values (bits in [0, 1], a one-hot genre, the target's shape and token ids)
+    are checked where the sample is used, by prepare_batch and the loss.
+    Integer targets keep an integer dtype, so token ids stay ids.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("sample must be a JSON object")
+    rhythm = doc.get("rhythm")
+    if not isinstance(rhythm, dict):
+        raise ValueError('sample needs a "rhythm" object with a "bits" list')
+    target = doc.get("target")
+    integral = isinstance(target, list) and all(type(t) is int for t in target)
+    return Sample(
+        rhythm_bits=_number_array(rhythm.get("bits"), '"rhythm.bits"'),
+        genre=_number_array(doc.get("genre"), '"genre"'),
+        target=_number_array(target, '"target"', np.int64 if integral else np.float64),
+    )
 
 
 def checkpoint_dict(result: TrainResult) -> dict:

@@ -107,3 +107,64 @@ def max_matching_oracle(gen, ref, tolerance):
         return result
 
     return best(0, 0)
+
+
+def _dot(row, vec):
+    return math.fsum(row[i] * vec[i] for i in range(len(vec)))
+
+
+def genre_encoder_oracle(weight, bias, genre):
+    """tanh(W g + b) for one genre vector; weight is (d, G) nested lists."""
+    return [math.tanh(_dot(weight[i], genre) + bias[i]) for i in range(len(bias))]
+
+
+def mlp_rhythm_oracle(w1, b1, w2, b2, bits):
+    """Two-layer tanh MLP on one length-fitted rhythm sequence."""
+    hidden = [math.tanh(math.fsum([b1[a]] + [w1[a][t] * bits[t] for t in range(len(bits))]))
+              for a in range(len(b1))]
+    return [_dot(w2[i], hidden) + b2[i] for i in range(len(b2))]
+
+
+def attnpos_rhythm_oracle(frame_embed, pos_table, w_query, w_key, w_value, w_out, b_out, bits):
+    """Single-head self-attention over frames, mean-pooled, then projected."""
+    T, dp = len(bits), len(frame_embed)
+    x = [[bits[t] * frame_embed[e] + pos_table[t][e] for e in range(dp)] for t in range(T)]
+    q = [[_dot(w_query[i], x[t]) for i in range(dp)] for t in range(T)]
+    k = [[_dot(w_key[i], x[t]) for i in range(dp)] for t in range(T)]
+    v = [[_dot(w_value[i], x[t]) for i in range(dp)] for t in range(T)]
+    pooled_terms = [[] for _ in range(dp)]
+    for t in range(T):
+        scores = [_dot(q[t], k[s]) / math.sqrt(dp) for s in range(T)]
+        mx = max(scores)
+        weights = [math.exp(s - mx) for s in scores]
+        total = math.fsum(weights)
+        for e in range(dp):
+            pooled_terms[e].append(math.fsum(weights[s] / total * v[s][e] for s in range(T)))
+    pool = [math.fsum(terms) / T for terms in pooled_terms]
+    return [_dot(w_out[i], pool) + b_out[i] for i in range(len(b_out))]
+
+
+def prompt_embeddings_oracle(table, tokens, genre_slot, rhythm_slot, v_genre, v_rhythm):
+    """Prompt rows looked up in the table, with the two slot rows substituted."""
+    rows = [list(table[tok]) for tok in tokens]
+    rows[genre_slot] = list(v_genre)
+    rows[rhythm_slot] = list(v_rhythm)
+    return rows
+
+
+def mean_pool_oracle(rows):
+    return [math.fsum(row[i] for row in rows) / len(rows) for i in range(len(rows[0]))]
+
+
+def mse_oracle(weights, pooled, target):
+    """Mean squared error of weights @ pooled against the target vector."""
+    m = len(target)
+    return math.fsum((_dot(weights[r], pooled) - target[r]) ** 2 for r in range(m)) / m
+
+
+def cross_entropy_oracle(weights, pooled, ids):
+    """Mean softmax cross-entropy of weights @ pooled against token ids."""
+    logits = [_dot(row, pooled) for row in weights]
+    mx = max(logits)
+    logz = mx + math.log(math.fsum(math.exp(z - mx) for z in logits))
+    return math.fsum(logz - logits[i] for i in ids) / len(ids)

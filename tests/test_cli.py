@@ -206,6 +206,53 @@ class TestTrainToy:
         data.mkdir()
         assert main(["train-toy", "--data", str(data)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("[1, 2]", id="top-level-list"),
+        pytest.param("{broken", id="not-json"),
+        pytest.param('{"genre": %(genre)s, "target": [0.5]}', id="no-rhythm"),
+        pytest.param('{"rhythm": [0, 1], "genre": %(genre)s, "target": [0.5]}', id="rhythm-list"),
+        pytest.param('{"rhythm": {"fps": 60}, "genre": %(genre)s, "target": [0.5]}', id="no-bits"),
+        pytest.param('{"rhythm": {"bits": "0101"}, "genre": %(genre)s, "target": [0.5]}',
+                     id="bits-string"),
+        pytest.param('{"rhythm": {"bits": [[0, 1]]}, "genre": %(genre)s, "target": [0.5]}',
+                     id="bits-nested"),
+        pytest.param('{"rhythm": {"bits": [true]}, "genre": %(genre)s, "target": [0.5]}',
+                     id="bits-bool"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": 3, "target": [0.5]}', id="genre-number"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": [1%(huge)s], "target": [0.5]}',
+                     id="genre-huge-int"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": %(genre)s}', id="no-target"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": %(genre)s, "target": ["a"]}',
+                     id="target-string"),
+    ])
+    def test_malformed_sample_exits_2(self, tmp_path, capsys, text):
+        data = tmp_path / "data"
+        data.mkdir()
+        genre = json.dumps([1] + [0] * (ModelDims().n_genres - 1))
+        (data / "s.json").write_text(text % {"genre": genre, "huge": "0" * 400})
+        out = tmp_path / "ckpt.json"
+        assert main(["train-toy", "--data", str(data), "--epochs", "1", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", [[], [1.7]])
+    def test_bad_token_ids_exit_2(self, tmp_path, capsys, target):
+        data = tmp_path / "data"
+        data.mkdir()
+        genre = [1] + [0] * (ModelDims().n_genres - 1)
+        doc = {"rhythm": {"fps": 60, "bits": [0, 1, 0]}, "genre": genre, "target": target}
+        (data / "s.json").write_text(json.dumps(doc))
+        args = ["train-toy", "--data", str(data), "--mode", "categorical", "--epochs", "1",
+                "--output", str(tmp_path / "ckpt.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "token ids" in err and "Traceback" not in err
+        doc["target"] = [1.0]  # an integral float is a token id
+        (data / "s.json").write_text(json.dumps(doc))
+        assert main(args) == 0
+
 
 class TestGradcheckCommand:
     def test_mlp_regression_passes(self, tmp_path):

@@ -3,206 +3,257 @@ import math
 import numpy as np
 import pytest
 
+from kinebeat import inversion
 from kinebeat.inversion import (
-    AttnPosProjector,
-    EncoderParams,
     GenreEncoderParams,
-    MlpProjector,
     ModelDims,
+    PreparedBatch,
     Sample,
     TrainingConfig,
-    assemble_prompt_embeddings,
+    _batch_forward,
     batch_loss,
     batch_loss_and_gradients,
     build_frozen,
     checkpoint_bytes,
-    default_prompt_template,
-    genre_encoder_forward,
     gradcheck,
     init_encoder_params,
     load_checkpoint,
     loss_history_csv,
     make_random_batch,
     make_teacher_student_dataset,
-    reconstruction_loss,
-    rhythm_encoder_forward,
+    prepare_batch,
+    sample_from_json_dict,
+    sample_json_dict,
     train,
+)
+
+from oracles import (
+    attnpos_rhythm_oracle,
+    cross_entropy_oracle,
+    genre_encoder_oracle,
+    mean_pool_oracle,
+    mlp_rhythm_oracle,
+    mse_oracle,
+    prompt_embeddings_oracle,
 )
 
 SMALL = ModelDims(
     embed_dim=6, hidden=5, attn_dim=4, rhythm_len=9, n_genres=3, target_dim=4, audio_vocab=5
 )
+ATTN_BLOCKS = ("frame_embed", "pos_table", "w_query", "w_key", "w_value", "w_out", "b_out")
 
 
 def small_batch(mode, seed=0, n=3):
     return make_random_batch(SMALL, mode, n, np.random.default_rng(seed))
 
 
+def one_hot(i, n=SMALL.n_genres):
+    g = np.zeros(n)
+    g[i] = 1.0
+    return g
+
+
+def sample(bits, genre=None, target=None):
+    return Sample(
+        rhythm_bits=np.asarray(bits, dtype=np.float64),
+        genre=one_hot(0) if genre is None else np.asarray(genre, dtype=np.float64),
+        target=np.zeros(SMALL.target_dim) if target is None else target,
+    )
+
+
+def forward(params, samples, frozen=None):
+    """(pooled, v_genre, v_rhythm) of the batched forward on SMALL samples."""
+    frozen = frozen or build_frozen(SMALL, "regression", seed=1)
+    pooled, v_genre, v_rhythm, _ = _batch_forward(params, frozen, prepare_batch(samples, SMALL))
+    return pooled, v_genre, v_rhythm
+
+
+def slots(params, bits, genre=None):
+    """The "@" and "*" slot embeddings of one sample."""
+    _, v_genre, v_rhythm = forward(params, [sample(bits, genre)])
+    return v_genre[0], v_rhythm[0]
+
+
+def oracle_slots(params, bits, genre):
+    b = {name: block.tolist() for name, block in params.blocks().items()}
+    v_genre = genre_encoder_oracle(b["genre.weight"], b["genre.bias"], np.asarray(genre).tolist())
+    bits = np.asarray(bits, dtype=np.float64).tolist()
+    if params.variant == "mlp":
+        w = [b[f"rhythm.{n}"] for n in ("w1", "b1", "w2", "b2")]
+        return v_genre, mlp_rhythm_oracle(*w, bits)
+    return v_genre, attnpos_rhythm_oracle(*(b[f"rhythm.{n}"] for n in ATTN_BLOCKS), bits)
+
+
+def oracle_loss(params, frozen, s):
+    """Per-sample reconstruction loss, composed from the scalar oracles."""
+    tpl = frozen.template
+    rows = prompt_embeddings_oracle(
+        frozen.table.entries.tolist(), tpl.tokens, tpl.genre_slot, tpl.rhythm_slot,
+        *oracle_slots(params, s.rhythm_bits, s.genre),
+    )
+    pooled = mean_pool_oracle(rows)
+    weights = frozen.generator.weights.tolist()
+    if frozen.generator.mode == "regression":
+        return mse_oracle(weights, pooled, np.asarray(s.target).tolist())
+    return cross_entropy_oracle(weights, pooled, [int(t) for t in s.target])
+
+
+def zeroed(params):
+    for block in params.blocks().values():
+        block[...] = 0.0
+    return params
+
+
 class TestAssemble:
     def test_substituting_table_rows_is_identity(self):
+        # slot embeddings equal to the table's own rows pool to the plain prompt mean
         frozen = build_frozen(SMALL, "regression", seed=1)
-        tpl, table = frozen.template, frozen.table
-        out = assemble_prompt_embeddings(
-            tpl,
-            table,
-            table.entries[tpl.tokens[tpl.genre_slot]],
-            table.entries[tpl.tokens[tpl.rhythm_slot]],
-        )
-        np.testing.assert_array_equal(out, table.entries[list(tpl.tokens)])
+        tpl, entries = frozen.template, frozen.table.entries
+        entries[tpl.tokens[tpl.genre_slot]] = 0.0  # tanh(0 g + 0) is exactly 0
+        params = zeroed(init_encoder_params(SMALL, "mlp", seed=0))
+        params.rhythm.b2[...] = entries[tpl.tokens[tpl.rhythm_slot]]
+        pooled, _, _ = forward(params, [sample(np.ones(SMALL.rhythm_len))], frozen)
+        expected = mean_pool_oracle(entries[list(tpl.tokens)].tolist())
+        np.testing.assert_allclose(pooled[0], expected, rtol=0, atol=1e-15)
 
     def test_rhythm_slot_locality(self):
-        frozen = build_frozen(SMALL, "regression", seed=1)
+        params = init_encoder_params(SMALL, "mlp", seed=1)
         rng = np.random.default_rng(2)
-        v_g = rng.standard_normal(SMALL.embed_dim)
-        a = assemble_prompt_embeddings(frozen.template, frozen.table, v_g, rng.standard_normal(6))
-        b = assemble_prompt_embeddings(frozen.template, frozen.table, v_g, rng.standard_normal(6))
-        differs = (a != b).any(axis=1)
-        assert differs[frozen.template.rhythm_slot]
-        assert differs.sum() == 1
+        bits = (rng.random((2, SMALL.rhythm_len)) < 0.5).astype(float)
+        bits[1, 0] = 1.0 - bits[0, 0]
+        _, v_genre, v_rhythm = forward(params, [sample(b) for b in bits])
+        np.testing.assert_array_equal(v_genre[0], v_genre[1])
+        assert (v_rhythm[0] != v_rhythm[1]).any()
 
     def test_zero_slots_leave_other_rows_alone(self):
         frozen = build_frozen(SMALL, "regression", seed=1)
         tpl = frozen.template
-        zero = np.zeros(SMALL.embed_dim)
-        out = assemble_prompt_embeddings(tpl, frozen.table, zero, zero)
-        for pos, tok in enumerate(tpl.tokens):
-            if pos not in (tpl.genre_slot, tpl.rhythm_slot):
-                np.testing.assert_array_equal(out[pos], frozen.table.entries[tok])
+        params = zeroed(init_encoder_params(SMALL, "attnpos", seed=0))
+        pooled, v_genre, v_rhythm = forward(params, [sample(np.ones(3))], frozen)
+        zero = [0.0] * SMALL.embed_dim
+        np.testing.assert_array_equal(v_genre[0], zero)
+        np.testing.assert_array_equal(v_rhythm[0], zero)
+        rows = prompt_embeddings_oracle(
+            frozen.table.entries.tolist(), tpl.tokens, tpl.genre_slot, tpl.rhythm_slot, zero, zero
+        )
+        np.testing.assert_allclose(pooled[0], mean_pool_oracle(rows), rtol=0, atol=1e-15)
 
     def test_dimension_mismatch(self):
         frozen = build_frozen(SMALL, "regression", seed=1)
-        with pytest.raises(ValueError, match="shape"):
-            assemble_prompt_embeddings(
-                frozen.template, frozen.table, np.zeros(3), np.zeros(SMALL.embed_dim)
-            )
+        params = init_encoder_params(SMALL, "mlp", seed=0)
+        too_wide = sample(np.ones(3), genre=one_hot(0, SMALL.n_genres + 1))
+        with pytest.raises(ValueError, match="genre input must have 3 entries"):
+            batch_loss(params, frozen, [too_wide], SMALL)
 
 
 class TestForwards:
     def test_mlp_all_zero_weights(self):
-        params = init_encoder_params(SMALL, "mlp", seed=0)
-        for block in params.blocks().values():
-            block[...] = 0.0
-        out = rhythm_encoder_forward(params, np.ones(SMALL.rhythm_len), SMALL)
+        params = zeroed(init_encoder_params(SMALL, "mlp", seed=0))
+        _, out = slots(params, np.ones(SMALL.rhythm_len))
         np.testing.assert_array_equal(out, np.zeros(SMALL.embed_dim))
 
     def test_mlp_zero_input_closed_form(self):
         params = init_encoder_params(SMALL, "mlp", seed=3)
         p = params.rhythm
-        out = rhythm_encoder_forward(params, np.zeros(SMALL.rhythm_len), SMALL)
+        _, out = slots(params, np.zeros(SMALL.rhythm_len))
         np.testing.assert_allclose(out, p.w2 @ np.tanh(p.b1) + p.b2, rtol=1e-15)
 
     def test_mlp_matches_straight_line_reimplementation(self):
         params = init_encoder_params(SMALL, "mlp", seed=5)
         rng = np.random.default_rng(6)
         r = (rng.random(SMALL.rhythm_len) < 0.3).astype(float)
-        p = params.rhythm
-        expected = []
-        for i in range(SMALL.embed_dim):
-            acc = p.b2[i]
-            for a in range(SMALL.hidden):
-                z = p.b1[a]
-                for t in range(SMALL.rhythm_len):
-                    z += p.w1[a, t] * r[t]
-                acc += p.w2[i, a] * math.tanh(z)
-            expected.append(acc)
-        got = rhythm_encoder_forward(params, r, SMALL)
+        _, expected = oracle_slots(params, r, one_hot(0))
+        _, got = slots(params, r)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_attnpos_matches_straight_line_reimplementation(self):
         params = init_encoder_params(SMALL, "attnpos", seed=7)
         rng = np.random.default_rng(8)
         r = (rng.random(SMALL.rhythm_len) < 0.3).astype(float)
-        p = params.rhythm
-        T, dp = SMALL.rhythm_len, SMALL.attn_dim
-        x = [[r[t] * p.frame_embed[e] + p.pos_table[t, e] for e in range(dp)] for t in range(T)]
-
-        def matvec(w, vec):
-            return [sum(w[i][j] * vec[j] for j in range(len(vec))) for i in range(len(w))]
-
-        q = [matvec(p.w_query.tolist(), x[t]) for t in range(T)]
-        k = [matvec(p.w_key.tolist(), x[t]) for t in range(T)]
-        v = [matvec(p.w_value.tolist(), x[t]) for t in range(T)]
-        pool = [0.0] * dp
-        for t in range(T):
-            scores = [sum(q[t][e] * k[s][e] for e in range(dp)) / math.sqrt(dp) for s in range(T)]
-            mx = max(scores)
-            weights = [math.exp(s - mx) for s in scores]
-            total = sum(weights)
-            row = [w / total for w in weights]
-            for e in range(dp):
-                pool[e] += sum(row[s] * v[s][e] for s in range(T)) / T
-        expected = [
-            sum(p.w_out[i, e] * pool[e] for e in range(dp)) + p.b_out[i]
-            for i in range(SMALL.embed_dim)
-        ]
-        got = rhythm_encoder_forward(params, r, SMALL)
+        _, expected = oracle_slots(params, r, one_hot(0))
+        _, got = slots(params, r)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_rhythm_input_validation_and_padding(self):
         params = init_encoder_params(SMALL, "mlp", seed=0)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            rhythm_encoder_forward(params, np.full(SMALL.rhythm_len, 2.0), SMALL)
-        short = rhythm_encoder_forward(params, np.ones(3), SMALL)
+            prepare_batch([sample(np.full(SMALL.rhythm_len, 2.0))], SMALL)
+        _, short = slots(params, np.ones(3))
         padded = np.concatenate([np.ones(3), np.zeros(SMALL.rhythm_len - 3)])
-        np.testing.assert_array_equal(short, rhythm_encoder_forward(params, padded, SMALL))
+        np.testing.assert_array_equal(short, slots(params, padded)[1])
 
     def test_genre_zero_params(self):
-        params = GenreEncoderParams(weight=np.zeros((6, 3)), bias=np.zeros(6))
-        out = genre_encoder_forward(params, np.array([0.0, 1.0, 0.0]))
+        params = init_encoder_params(SMALL, "mlp", seed=0)
+        params.genre = GenreEncoderParams(weight=np.zeros((6, 3)), bias=np.zeros(6))
+        out, _ = slots(params, np.ones(3), one_hot(1))
         np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_genre_one_hot_selects_column(self):
         rng = np.random.default_rng(4)
-        params = GenreEncoderParams(weight=rng.standard_normal((6, 3)), bias=rng.standard_normal(6))
-        out = genre_encoder_forward(params, np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(out, np.tanh(params.weight[:, 2] + params.bias), rtol=1e-15)
+        params = init_encoder_params(SMALL, "mlp", seed=0)
+        params.genre = GenreEncoderParams(rng.standard_normal((6, 3)), rng.standard_normal(6))
+        g = params.genre
+        out, _ = slots(params, np.ones(3), one_hot(2))
+        np.testing.assert_allclose(out, np.tanh(g.weight[:, 2] + g.bias), rtol=1e-15)
 
     def test_genre_rejects_non_one_hot(self):
-        params = GenreEncoderParams(weight=np.zeros((6, 3)), bias=np.zeros(6))
         for bad in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]):
             with pytest.raises(ValueError, match="one-hot"):
-                genre_encoder_forward(params, np.array(bad))
+                prepare_batch([sample(np.ones(3), genre=bad)], SMALL)
 
     def test_distinct_genres_distinct_embeddings(self):
         rng = np.random.default_rng(9)
-        params = GenreEncoderParams(weight=rng.standard_normal((6, 3)), bias=rng.standard_normal(6))
-        a = genre_encoder_forward(params, np.array([1.0, 0.0, 0.0]))
-        b = genre_encoder_forward(params, np.array([0.0, 1.0, 0.0]))
-        assert np.linalg.norm(a - b) > 0
+        params = init_encoder_params(SMALL, "mlp", seed=0)
+        params.genre = GenreEncoderParams(rng.standard_normal((6, 3)), rng.standard_normal(6))
+        pair = [sample(np.ones(3), one_hot(0)), sample(np.ones(3), one_hot(1))]
+        _, v_genre, _ = forward(params, pair)
+        assert np.linalg.norm(v_genre[0] - v_genre[1]) > 0
 
 
 class TestReconstructionLoss:
     def test_exact_target_gives_zero(self):
         frozen = build_frozen(SMALL, "regression", seed=2)
-        emb = np.random.default_rng(0).standard_normal((4, SMALL.embed_dim))
-        target = frozen.generator.weights @ emb.mean(axis=0)
-        assert reconstruction_loss(frozen.generator, emb, target) == 0.0
+        params = init_encoder_params(SMALL, "attnpos", seed=3)
+        batch = small_batch("regression", seed=0)
+        pooled, _, _ = forward(params, batch, frozen)
+        outputs = pooled @ frozen.generator.weights.T
+        exact = [Sample(s.rhythm_bits, s.genre, y) for s, y in zip(batch, outputs)]
+        assert batch_loss(params, frozen, exact, SMALL) == 0.0
 
     def test_uniform_logits_cross_entropy(self):
         dims = ModelDims(embed_dim=6, audio_vocab=4)
         frozen = build_frozen(dims, "categorical", seed=2)
-        emb = np.zeros((4, dims.embed_dim))  # logits = W @ 0 = 0, uniform softmax
-        loss = reconstruction_loss(frozen.generator, emb, np.array([1]))
+        frozen.generator.weights[...] = 0.0  # logits = 0 @ pooled = 0, uniform softmax
+        params = init_encoder_params(dims, "mlp", seed=0)
+        raw = make_random_batch(dims, "categorical", 2, np.random.default_rng(1))
+        batch = [Sample(s.rhythm_bits, s.genre, np.array([1])) for s in raw]
+        loss = batch_loss(params, frozen, batch, dims)
         assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_matches_duplicate_implementation(self):
-        rng = np.random.default_rng(11)
         frozen = build_frozen(SMALL, "regression", seed=3)
-        emb = rng.standard_normal((5, SMALL.embed_dim))
-        target = rng.standard_normal(SMALL.target_dim)
-        pooled = [sum(emb[p][i] for p in range(5)) / 5 for i in range(SMALL.embed_dim)]
-        acc = 0.0
-        for row in range(SMALL.target_dim):
-            y = sum(frozen.generator.weights[row, i] * pooled[i] for i in range(SMALL.embed_dim))
-            acc += (y - target[row]) ** 2
-        expected = acc / SMALL.target_dim
-        got = reconstruction_loss(frozen.generator, emb, target)
-        assert got == pytest.approx(expected, rel=1e-12)
+        params = init_encoder_params(SMALL, "mlp", seed=11)
+        batch = small_batch("regression", seed=11, n=5)
+        expected = sum(oracle_loss(params, frozen, s) for s in batch) / len(batch)
+        assert batch_loss(params, frozen, batch, SMALL) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch(self):
         frozen = build_frozen(SMALL, "regression", seed=3)
+        params = init_encoder_params(SMALL, "mlp", seed=0)
         with pytest.raises(ValueError, match="target shape"):
-            reconstruction_loss(frozen.generator, np.zeros((4, SMALL.embed_dim)), np.zeros(3))
+            batch_loss(params, frozen, [sample(np.ones(3), target=np.zeros(3))], SMALL)
+
+    def test_categorical_target_ids(self):
+        frozen = build_frozen(SMALL, "categorical", seed=3)
+        params = init_encoder_params(SMALL, "mlp", seed=0)
+
+        def loss(ids):
+            return batch_loss(params, frozen, [sample(np.ones(3), target=np.asarray(ids))], SMALL)
+
+        for bad in ([], [1.7], [-1], [SMALL.audio_vocab], [float("nan")]):
+            with pytest.raises(ValueError, match="nonempty list of integers"):
+                loss(bad)
+        assert loss([1.0]) == loss([1])
 
 
 class TestGradients:
@@ -221,29 +272,24 @@ class TestGradients:
     def test_zero_residual_zero_gradient(self):
         frozen = build_frozen(SMALL, "regression", seed=4)
         params = init_encoder_params(SMALL, "mlp", seed=5)
-        batch = []
-        for sample in small_batch("regression", seed=6):
-            v_g = genre_encoder_forward(params.genre, sample.genre)
-            v_r = rhythm_encoder_forward(params, sample.rhythm_bits, SMALL)
-            emb = assemble_prompt_embeddings(frozen.template, frozen.table, v_g, v_r)
-            target = frozen.generator.weights @ emb.mean(axis=0)
-            batch.append(Sample(sample.rhythm_bits, sample.genre, target))
+        raw = small_batch("regression", seed=6)
+        pooled, _, _ = forward(params, raw, frozen)
+        outputs = pooled @ frozen.generator.weights.T
+        batch = [Sample(s.rhythm_bits, s.genre, y) for s, y in zip(raw, outputs)]
         loss, grads = batch_loss_and_gradients(params, frozen, batch, SMALL)
         assert loss <= 1e-30
         assert all(np.linalg.norm(g) < 1e-8 for g in grads.values())
 
     def test_batch_paths_agree(self):
-        # the vectorized batch loss equals per-sample op composition
-        frozen = build_frozen(SMALL, "categorical", seed=4)
-        params = init_encoder_params(SMALL, "attnpos", seed=5)
-        batch = small_batch("categorical", seed=7)
-        total = 0.0
-        for s in batch:
-            v_g = genre_encoder_forward(params.genre, s.genre)
-            v_r = rhythm_encoder_forward(params, s.rhythm_bits, SMALL)
-            emb = assemble_prompt_embeddings(frozen.template, frozen.table, v_g, v_r)
-            total += reconstruction_loss(frozen.generator, emb, s.target)
-        assert batch_loss(params, frozen, batch, SMALL) == pytest.approx(total / 3, rel=1e-12)
+        # the vectorized batch loss equals the mean of the scalar per-sample oracle
+        for variant in ("mlp", "attnpos"):
+            for mode in ("regression", "categorical"):
+                frozen = build_frozen(SMALL, mode, seed=4)
+                params = init_encoder_params(SMALL, variant, seed=5)
+                batch = small_batch(mode, seed=7)
+                expected = sum(oracle_loss(params, frozen, s) for s in batch) / len(batch)
+                got = batch_loss(params, frozen, batch, SMALL)
+                assert got == pytest.approx(expected, rel=1e-12), (variant, mode)
 
 
 class TestTraining:
@@ -292,9 +338,26 @@ class TestTraining:
         bits = np.zeros(SMALL.rhythm_len)
         flipped = bits.copy()
         flipped[4] = 1.0
-        a = rhythm_encoder_forward(params, bits, SMALL)
-        b = rhythm_encoder_forward(params, flipped, SMALL)
-        assert np.linalg.norm(a - b) > 0
+        _, _, v_rhythm = forward(params, [sample(bits), sample(flipped)])
+        assert np.linalg.norm(v_rhythm[0] - v_rhythm[1]) > 0
+
+    def test_train_and_gradcheck_prepare_the_batch_once(self, monkeypatch):
+        prepared = []
+        original = inversion.prepare_batch
+
+        def counting(batch, dims=ModelDims()):
+            if not isinstance(batch, PreparedBatch):
+                prepared.append(len(batch))
+            return original(batch, dims)
+
+        monkeypatch.setattr(inversion, "prepare_batch", counting)
+        ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=3, frozen_seed=2)
+        prepared.clear()
+        train(TrainingConfig(epochs=5, seed=3, frozen_seed=2), ds, SMALL)
+        assert prepared == [4]
+        prepared.clear()
+        gradcheck("mlp", "regression", seed=5, dims=SMALL, n_samples=2)
+        assert prepared == [2]
 
 
 class TestCheckpoint:
@@ -317,3 +380,14 @@ class TestCheckpoint:
         assert lines[0] == "epoch,loss"
         assert lines[1] == "0,1.0"
         assert len(lines) == 4
+
+
+class TestSampleJson:
+    @pytest.mark.parametrize("mode", ["regression", "categorical"])
+    def test_round_trip(self, mode):
+        for s in small_batch(mode, seed=3):
+            back = sample_from_json_dict(sample_json_dict(s))
+            np.testing.assert_array_equal(back.rhythm_bits, s.rhythm_bits)
+            np.testing.assert_array_equal(back.genre, s.genre)
+            np.testing.assert_array_equal(back.target, s.target)
+            assert back.target.dtype == s.target.dtype
