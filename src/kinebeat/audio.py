@@ -16,13 +16,13 @@ centers straddle it, not a window-length earlier.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rhythm import RhythmSequence
 
@@ -32,6 +32,14 @@ DEFAULT_PEAK_WINDOW_SECONDS = 0.3
 DEFAULT_PEAK_DELTA = 0.1
 DEFAULT_BPM_MIN = 60.0
 DEFAULT_BPM_MAX = 180.0
+ONSET_BLOCK = 256  # STFT frames transformed at a time by onset_envelope
+
+_DECODE_BLOCK = 1 << 16  # WAV frames converted to float64 at a time
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# (format tag, bits per sample) -> sample dtype: WAVE_FORMAT_PCM 16, WAVE_FORMAT_IEEE_FLOAT 32
+_SAMPLE_DTYPES = {(0x0001, 16): np.dtype("<i2"), (0x0003, 32): np.dtype("<f4")}
+# the last 12 bytes of a KSDATAFORMAT_SUBTYPE GUID, whose first 4 bytes hold the format tag
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class BeatList:
     def from_json(cls, data: bytes) -> "BeatList":
         try:
             doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed beats JSON: {exc}") from exc
         if not isinstance(doc, dict) or "beats_sec" not in doc:
             raise ValueError('beats JSON must be an object with "beats_sec"')
@@ -127,7 +135,7 @@ class TempoEstimate:
     def from_json(cls, data: bytes) -> "TempoEstimate":
         try:
             doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed tempo JSON: {exc}") from exc
         if not isinstance(doc, dict) or "bpm" not in doc:
             raise ValueError('tempo JSON must be an object with "bpm"')
@@ -135,26 +143,96 @@ class TempoEstimate:
 
 
 def read_wav(data: bytes) -> AudioClip:
-    """Decode a RIFF/WAVE file: PCM 16-bit or IEEE float 32-bit, 1-2 channels.
+    """Decode a little-endian RIFF/WAVE file (or RF64) into a mono clip.
+
+    Accepted: 16-bit integer PCM or 32-bit IEEE float, 1-2 channels, as
+    WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT or WAVE_FORMAT_EXTENSIBLE with
+    one of those subformats. Chunks other than "fmt " are skipped up to the
+    first "data" chunk, whose samples are the clip; RF64 takes the data
+    size from its "ds64" chunk. A data chunk cut short by the end of the
+    file decodes to the whole frames present. Anything else, including
+    big-endian RIFX, raises ValueError.
 
     Stereo is mixed to mono by channel average. 16-bit samples are scaled
-    by 1/32768; float samples are clipped into [-1, 1].
+    by 1/32768; float samples are clipped into [-1, 1]. The payload is
+    viewed in place and converted _DECODE_BLOCK frames at a time.
     """
-    try:
-        rate, raw = wavfile.read(io.BytesIO(data))
-    except Exception as exc:
-        raise ValueError(f"cannot decode WAV: {exc}") from exc
-    if raw.dtype == np.int16:
-        samples = raw.astype(np.float64) / 32768.0
-    elif raw.dtype == np.float32:
-        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
-    else:
-        raise ValueError(f"unsupported WAV sample format {raw.dtype}; need int16 or float32")
-    if samples.ndim == 2:
-        if samples.shape[1] > 2:
-            raise ValueError(f"unsupported channel count {samples.shape[1]}; need 1 or 2")
-        samples = samples.mean(axis=1)
-    return AudioClip(sample_rate=int(rate), samples=samples)
+    if len(data) < 12:
+        raise ValueError(f"cannot decode WAV: {len(data)} bytes hold no RIFF header")
+    riff, riff_size, form = struct.unpack_from("<4sI4s", data)
+    if riff == b"RIFX":
+        raise ValueError("unsupported WAV byte order: big-endian RIFX; need RIFF or RF64")
+    if riff not in (b"RIFF", b"RF64") or form != b"WAVE":
+        raise ValueError(f"cannot decode WAV: not a RIFF/WAVE file ({riff!r} {form!r})")
+    pos, end, rf64_data_size = 12, riff_size + 8, None
+    if riff == b"RF64":
+        if len(data) < 36 or data[12:16] != b"ds64":
+            raise ValueError("cannot decode WAV: RF64 file without a ds64 chunk")
+        ds64_size, riff_size64, rf64_data_size = struct.unpack_from("<IQQ", data, 16)
+        if ds64_size < 16:
+            raise ValueError(f"cannot decode WAV: ds64 chunk of {ds64_size} bytes")
+        pos, end = 20 + ds64_size, riff_size64 + 8
+    layout = None
+    while True:
+        if pos >= end:
+            raise ValueError("cannot decode WAV: no data chunk")
+        if pos + 8 > len(data):
+            raise ValueError(f"cannot decode WAV: file ends inside a chunk header at byte {pos}")
+        chunk, size = struct.unpack_from("<4sI", data, pos)
+        pos += 8
+        if chunk == b"data":
+            break
+        if chunk == b"fmt ":
+            layout = _wav_layout(data, pos, size)
+        pos += size + (size & 1)  # odd-sized chunks carry a pad byte
+    if layout is None:
+        raise ValueError("cannot decode WAV: data chunk before the fmt chunk")
+    sample_rate, channels, dtype = layout
+    if rf64_data_size is not None:
+        size = rf64_data_size
+    present = min(size, len(data) - pos)
+    if present % (channels * dtype.itemsize):
+        raise ValueError("cannot decode WAV: data chunk ends inside a frame")
+    raw = np.frombuffer(data, dtype, count=present // dtype.itemsize, offset=pos).reshape(-1, channels)
+    samples = np.empty(len(raw))
+    for lo in range(0, len(raw), _DECODE_BLOCK):
+        out = samples[lo : lo + _DECODE_BLOCK]
+        # mono converts in the output itself; stereo in a block averaged into it
+        block = out[:, None] if channels == 1 else np.empty((len(out), 2))
+        block[:] = raw[lo : lo + _DECODE_BLOCK]  # to float64
+        if dtype.kind == "i":
+            block /= 32768.0
+        else:
+            np.clip(block, -1.0, 1.0, out=block)
+        if channels == 2:
+            block.mean(axis=1, out=out)
+    return AudioClip(sample_rate=sample_rate, samples=samples)
+
+
+def _wav_layout(data: bytes, pos: int, size: int) -> tuple:
+    """(sample rate, channels, sample dtype) from the fmt chunk body at pos."""
+    if size < 16:
+        raise ValueError(f"cannot decode WAV: fmt chunk of {size} bytes is too short")
+    if pos + size > len(data):
+        raise ValueError("cannot decode WAV: file ends inside the fmt chunk")
+    tag, channels, sample_rate, _, block_align, bits = struct.unpack_from("<HHIIHH", data, pos)
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        # cbSize, valid bits and channel mask come before the SubFormat GUID
+        if size < 40 or struct.unpack_from("<H", data, pos + 16)[0] < 22:
+            raise ValueError("cannot decode WAV: WAVE_FORMAT_EXTENSIBLE fmt chunk too short")
+        if data[pos + 28 : pos + 40] == _SUBFORMAT_GUID_TAIL:
+            tag = struct.unpack_from("<I", data, pos + 24)[0]
+    dtype = _SAMPLE_DTYPES.get((tag, bits))
+    if dtype is None:
+        raise ValueError(
+            f"unsupported WAV sample format (format tag {tag:#06x}, {bits} bits); "
+            "need 16-bit PCM or 32-bit float"
+        )
+    if not 1 <= channels <= 2:
+        raise ValueError(f"unsupported channel count {channels}; need 1 or 2")
+    if block_align != channels * dtype.itemsize:
+        raise ValueError(f"cannot decode WAV: block align {block_align} for {channels} x {bits} bits")
+    return sample_rate, channels, dtype
 
 
 def onset_envelope(
@@ -168,6 +246,9 @@ def onset_envelope(
     starting at sample l * hop lands at envelope index l + window // (2 *
     hop), its center; the leading indices before the first full window are
     zero.
+
+    Frames are strided views of the samples, transformed ONSET_BLOCK at a
+    time, so the working memory does not grow with the clip's length.
     """
     if not (window >= hop >= 1):
         raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
@@ -175,13 +256,20 @@ def onset_envelope(
     n_frames = 1 + (len(x) - window) // hop if len(x) >= window else 0
     if n_frames < 2:
         raise ValueError(f"clip too short: {len(x)} samples hold {n_frames} full window(s)")
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
+    frames = sliding_window_view(x, window)[::hop]
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-    spectra = np.abs(np.fft.rfft(x[idx] * hann, axis=1))
-    logmag = np.log1p(10.0 * spectra)
-    flux = np.maximum(0.0, logmag[1:] - logmag[:-1]).sum(axis=1)
     lead = window // (2 * hop)
-    values = np.concatenate([np.zeros(lead + 1), flux])
+    values = np.zeros(lead + n_frames)
+    # row 0 carries the previous block's last frame across the block boundary
+    logmag = np.empty((ONSET_BLOCK + 1, window // 2 + 1))
+    for start in range(0, n_frames, ONSET_BLOCK):
+        block = frames[start : start + ONSET_BLOCK]
+        n = len(block)
+        np.log1p(10.0 * np.abs(np.fft.rfft(block * hann, axis=1)), out=logmag[1 : n + 1])
+        first = 0 if start else 1  # frame 0 has no predecessor; its flux stays 0
+        rise = np.maximum(0.0, logmag[1 + first : n + 1] - logmag[first:n])
+        values[lead + start + first : lead + start + n] = rise.sum(axis=1)
+        logmag[0] = logmag[n]
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 

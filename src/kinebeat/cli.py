@@ -49,7 +49,7 @@ def _load_beats(path: str) -> audio.BeatList:
     data = _read_file(path)
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     if isinstance(doc, dict) and "beats_sec" in doc:
         return audio.BeatList.from_json(data)
@@ -171,7 +171,7 @@ def _cmd_train_toy(args) -> int:
         data = _read_file(str(path))
         try:
             dataset.append(inversion.sample_from_json_dict(json.loads(data.decode("utf-8"))))
-        except ValueError as exc:  # includes malformed UTF-8 and JSON
+        except (ValueError, RecursionError) as exc:  # malformed UTF-8 or JSON, or a bad sample
             raise ValueError(f"{path}: {exc}") from exc
     config = inversion.TrainingConfig(
         variant=args.variant,

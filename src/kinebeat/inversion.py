@@ -480,7 +480,8 @@ def train(config: TrainingConfig, dataset, dims: ModelDims = ModelDims()) -> Tra
     """Full-batch gradient descent on the encoder parameters.
 
     The loss history has epochs + 1 entries: the loss before each update and
-    the final loss. Divergence (non-finite loss) raises with the epoch index.
+    the final loss. Divergence (non-finite loss) raises ValueError with the
+    epoch index; the overflow on the way there raises no warning of its own.
     The frozen blocks are digest-checked before and after as a guard.
     """
     prep = prepare_batch(dataset, dims)
@@ -488,17 +489,18 @@ def train(config: TrainingConfig, dataset, dims: ModelDims = ModelDims()) -> Tra
     digests = frozen.digests()
     params = init_encoder_params(dims, config.variant, config.seed)
     history = []
-    for epoch in range(config.epochs):
-        loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
-        if not math.isfinite(loss):
-            raise RuntimeError(f"training diverged at epoch {epoch}: loss is not finite")
-        history.append(loss)
-        blocks = params.blocks()
-        for name, grad in grads.items():
-            blocks[name] -= config.learning_rate * grad
-    final = batch_loss(params, frozen, prep, dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at epoch {epoch}: loss is not finite")
+            history.append(loss)
+            blocks = params.blocks()
+            for name, grad in grads.items():
+                blocks[name] -= config.learning_rate * grad
+        final = batch_loss(params, frozen, prep, dims)
     if not math.isfinite(final):
-        raise RuntimeError(f"training diverged at epoch {config.epochs}: loss is not finite")
+        raise ValueError(f"training diverged at epoch {config.epochs}: loss is not finite")
     history.append(final)
     if frozen.digests() != digests:
         raise RuntimeError("frozen blocks changed during training")
@@ -648,16 +650,20 @@ def _number_array(value, what: str, dtype=np.float64) -> np.ndarray:
     ):
         raise ValueError(f"{what} must be a list of numbers")
     try:
-        return np.asarray(value, dtype=dtype)
+        array = np.asarray(value, dtype=dtype)
     except OverflowError as exc:
         raise ValueError(f"{what}: {exc}") from exc
+    if not np.isfinite(array).all():  # the NaN and Infinity literals Python's json accepts
+        raise ValueError(f"{what} must be finite")
+    return array
 
 
 def sample_from_json_dict(doc) -> Sample:
     """Inverse of sample_json_dict: checks the types and structure of one sample.
 
-    Values (bits in [0, 1], a one-hot genre, the target's shape and token ids)
-    are checked where the sample is used, by prepare_batch and the loss.
+    Every number must be finite. Values (bits in [0, 1], a one-hot genre, the
+    target's shape and token ids) are checked where the sample is used, by
+    prepare_batch and the loss.
     Integer targets keep an integer dtype, so token ids stay ids.
     """
     if not isinstance(doc, dict):
@@ -693,7 +699,7 @@ def checkpoint_bytes(result: TrainResult) -> bytes:
 def load_checkpoint(data: bytes) -> dict:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed checkpoint JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("unsupported checkpoint format")

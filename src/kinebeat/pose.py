@@ -95,7 +95,7 @@ def parse_pose_file(data: bytes) -> PoseSequence:
         doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except UnicodeDecodeError as exc:
         raise ValueError(f"keypoint file is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed keypoint JSON: {exc}") from exc
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
         raise ValueError('keypoint JSON must be an object with "fps" and "frames"')

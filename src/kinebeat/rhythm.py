@@ -148,7 +148,7 @@ class RhythmSequence:
     def from_json(cls, data: bytes) -> "RhythmSequence":
         try:
             doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed rhythm JSON: {exc}") from exc
         if not isinstance(doc, dict) or "fps" not in doc or "bits" not in doc:
             raise ValueError('rhythm JSON must be an object with "fps" and "bits"')

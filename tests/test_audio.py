@@ -1,4 +1,11 @@
 import io
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from kinebeat.audio import (
+    ONSET_BLOCK,
     AudioClip,
     BeatList,
     OnsetEnvelope,
@@ -16,6 +24,7 @@ from kinebeat.audio import (
     pick_beats,
     read_wav,
 )
+from kinebeat.cli import main
 from kinebeat.rhythm import RhythmSequence
 
 from conftest import click_wav_bytes, wav_bytes
@@ -62,6 +71,213 @@ class TestReadWav:
         data = wav_bytes(np.zeros(SR), SR)
         with pytest.raises(ValueError, match="cannot decode"):
             read_wav(data[:30])
+
+
+def _chunk(chunk_id, body, size=None):
+    """One RIFF chunk; odd-sized bodies get their pad byte."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) & 1)
+
+
+def _riff(*chunks, magic=b"RIFF", form=b"WAVE", size=None):
+    body = form + b"".join(chunks)
+    return magic + struct.pack("<I", len(body) if size is None else size) + body
+
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _fmt(tag, channels, bits, subformat=None, guid_tail=GUID_TAIL):
+    """A fmt chunk; with subformat, a WAVE_FORMAT_EXTENSIBLE one carrying it."""
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits)
+    if subformat is not None:
+        body += struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", subformat) + guid_tail
+    return _chunk(b"fmt ", body)
+
+
+def _scipy_wav(array):
+    buf = io.BytesIO()
+    wavfile.write(buf, SR, array)
+    return buf.getvalue()
+
+
+def _rf64(fmt_chunk, payload, trailer):
+    """RF64: the data chunk's own size field is 0xFFFFFFFF; ds64 holds the real one."""
+    data = _chunk(b"data", payload, size=0xFFFFFFFF)
+    total = 12 + 36 + len(fmt_chunk) + len(data) + len(trailer)
+    ds64 = _chunk(b"ds64", struct.pack("<QQQI", total - 8, len(payload), 0, 0))
+    return _riff(ds64, fmt_chunk, data, trailer, magic=b"RF64", size=0xFFFFFFFF)
+
+
+def _rifx(pcm):
+    """Big-endian RIFX with 16-bit PCM mono: valid, but outside the accepted subset."""
+    payload = pcm.astype(">i2").tobytes()
+    body = (b"WAVE" + b"fmt " + struct.pack(">IHHIIHH", 16, 1, 1, SR, 2 * SR, 2, 16)
+            + b"data" + struct.pack(">I", len(payload)) + payload)
+    return b"RIFX" + struct.pack(">I", len(body)) + body
+
+
+def _wav_matrix():
+    """(accepted, rejected): name -> WAV bytes, built from fixed seeds."""
+    rng = np.random.default_rng(11)
+    pcm = rng.integers(-32768, 32768, size=(2000, 2)).astype(np.int16)
+    flt = rng.uniform(-1.5, 1.5, size=(2000, 2)).astype(np.float32)
+    flt[:5, 0] = [np.inf, -np.inf, 1.0, -1.0, -0.0]
+    flt[4, 1] = -0.0
+    pcm_data, flt_data = _chunk(b"data", pcm.tobytes()), _chunk(b"data", flt.tobytes())
+    mono = _scipy_wav(pcm[:, 0].copy())
+    stereo = _scipy_wav(pcm)
+    accepted = {
+        "pcm16-mono": mono,
+        "pcm16-stereo": stereo,
+        "float32-mono": _scipy_wav(flt[:, 0].copy()),
+        "float32-stereo": _scipy_wav(flt),
+        "extensible-pcm16-stereo": _riff(_fmt(0xFFFE, 2, 16, subformat=1), pcm_data),
+        "extensible-float32-stereo": _riff(_fmt(0xFFFE, 2, 32, subformat=3), flt_data),
+        "list-and-junk-chunks": _riff(
+            _chunk(b"JUNK", bytes(7)), _fmt(1, 2, 16), _chunk(b"LIST", b"INFOx"), pcm_data
+        ),
+        "rf64-float32-stereo": _rf64(_fmt(3, 2, 32), flt.tobytes(), _chunk(b"LIST", bytes(8))),
+        "data-ends-early": _riff(
+            _fmt(1, 2, 16), _chunk(b"data", pcm[:1500].tobytes(), size=pcm.nbytes),
+            size=4 + 24 + 8 + pcm.nbytes,
+        ),
+        "riff-size-past-eof": _riff(_fmt(1, 2, 16), pcm_data, size=0xFFFFFFF0),
+    }
+    rejected = {
+        "pcm8": _scipy_wav((pcm[:, 0] // 256 + 128).astype(np.uint8)),
+        "pcm24": _riff(_fmt(1, 2, 24), _chunk(b"data", bytes(6 * 100))),
+        "pcm32": _scipy_wav(pcm.astype(np.int32)),
+        "float64": _scipy_wav(flt.astype(np.float64)),
+        "three-channels": _scipy_wav(rng.integers(-100, 100, size=(200, 3)).astype(np.int16)),
+        "extensible-unknown-subformat": _riff(
+            _fmt(0xFFFE, 2, 16, subformat=1, guid_tail=bytes(12)), pcm_data
+        ),
+        "rifx": _rifx(pcm[:, 0]),
+        "not-wave": _riff(_fmt(1, 1, 16), pcm_data, form=b"AVI "),
+        "not-riff": b"OggS" + bytes(100),
+        "no-fmt-before-data": _riff(pcm_data, _fmt(1, 2, 16)),
+        "no-data": _riff(_fmt(1, 2, 16), _chunk(b"LIST", b"INFO")),
+        "cut-in-riff-header": mono[:10],
+        "cut-in-fmt": mono[:30],
+        "cut-in-data-header": mono[:40],
+        "cut-in-sample": mono[:-1],
+        "cut-in-frame": stereo[:-2],
+    }
+    return accepted, rejected
+
+
+ACCEPTED_WAVS, REJECTED_WAVS = _wav_matrix()
+
+
+def reference_read_wav(data):
+    """scipy.io.wavfile.read plus the int16/float32 mono conversion read_wav replaced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on chunks it skips and on a short file
+        rate, raw = wavfile.read(io.BytesIO(data))
+    if raw.dtype == np.int16:
+        samples = raw.astype(np.float64) / 32768.0
+    elif raw.dtype == np.float32:
+        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
+    else:
+        raise ValueError(f"unsupported WAV sample format {raw.dtype}")
+    if samples.ndim == 2:
+        if samples.shape[1] > 2:
+            raise ValueError(f"unsupported channel count {samples.shape[1]}")
+        samples = samples.mean(axis=1)
+    return rate, samples
+
+
+class TestWavDecoderContract:
+    @pytest.mark.parametrize("name", sorted(ACCEPTED_WAVS))
+    def test_matches_scipy_bitwise(self, name):
+        data = ACCEPTED_WAVS[name]
+        rate, expected = reference_read_wav(data)
+        clip = read_wav(data)
+        assert clip.sample_rate == rate
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_WAVS))
+    def test_rejected_with_one_error_line(self, name, tmp_path, capsys):
+        data = REJECTED_WAVS[name]
+        with pytest.raises(Exception):  # scipy plus the old checks refused it too
+            reference_read_wav(data)
+        with pytest.raises(ValueError):
+            read_wav(data)
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        assert main(["detect-beats", "--audio", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_payload_is_decoded_in_place(self):
+        # a minute of stereo float32: beyond the float64 mono result, only
+        # fixed-size conversion blocks are allocated, never a copy of the payload
+        stereo = np.random.default_rng(5).uniform(-1, 1, size=(60 * SR, 2)).astype(np.float32)
+        data = _scipy_wav(stereo)
+        tracemalloc.start()
+        try:
+            clip = read_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < clip.samples.nbytes + 4e6
+
+
+def dense_onset_envelope(x, window, hop):
+    """The whole-matrix envelope formula onset_envelope had before it ran in blocks."""
+    n_frames = 1 + (len(x) - window) // hop
+    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    spectra = np.abs(np.fft.rfft(x[idx] * hann, axis=1))
+    logmag = np.log1p(10.0 * spectra)
+    flux = np.maximum(0.0, logmag[1:] - logmag[:-1]).sum(axis=1)
+    lead = window // (2 * hop)
+    return np.concatenate([np.zeros(lead + 1), flux])
+
+
+class TestBlockedEnvelope:
+    @pytest.mark.parametrize("window,hop", [(1024, 256), (1024, 64), (2048, 512), (512, 512)])
+    @pytest.mark.parametrize("last_block", [1, ONSET_BLOCK, ONSET_BLOCK - 1])
+    def test_bitwise_equal_to_dense_formula(self, window, hop, last_block):
+        n_frames = 2 * ONSET_BLOCK + last_block
+        rng = np.random.default_rng([window, hop, last_block])
+        x = rng.uniform(-1, 1, window + (n_frames - 1) * hop + hop // 2)
+        env = onset_envelope(AudioClip(SR, x), window=window, hop=hop)
+        assert env.values.tobytes() == dense_onset_envelope(x, window, hop).tobytes()
+
+    def test_bitwise_equal_on_a_minute_of_audio(self):
+        clip = read_wav(click_wav_bytes(123, seconds=60.0))
+        rng = np.random.default_rng(60)
+        x = clip.samples + rng.uniform(-0.01, 0.01, len(clip.samples))
+        env = onset_envelope(AudioClip(SR, x))
+        assert env.values.tobytes() == dense_onset_envelope(x, 1024, 256).tobytes()
+
+    def test_memory_does_not_grow_with_length(self):
+        def peak_bytes(seconds):
+            clip = AudioClip(SR, np.random.default_rng(seconds).uniform(-1, 1, seconds * SR))
+            tracemalloc.start()
+            try:
+                onset_envelope(clip)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(30), peak_bytes(240)
+        assert abs(long - short) < 1e6
+        assert max(short, long) < 30e6
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kinebeat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOnsetEnvelope:

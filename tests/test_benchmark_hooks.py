@@ -1,10 +1,12 @@
 """The benchmark's traced replay still finds every library function it patches.
 
-perfbench/replay.py swaps inversion functions (train, batch_loss,
-batch_loss_and_gradients, gradcheck, ...) for traced copies by name and
-relies on train and gradcheck reaching the loss functions through module
-globals; a rename or a refactor that bypasses them breaks the benchmark
-without breaking any other test.
+perfbench/replay.py swaps pose, rhythm, audio, metrics and inversion
+functions (read_wav, onset_envelope, train, batch_loss, gradcheck, ...)
+for traced copies by name, and relies on the CLI and on train and
+gradcheck reaching them through module globals; a rename or a refactor
+that bypasses them breaks the benchmark without breaking any other test.
+The benchmark also fails a run whose traced replay writes different bytes
+from the untraced command, so these runs check that too.
 """
 
 import json
@@ -12,12 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_inversion_smoke_replay_runs_clean():
+def _smoke_replay(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "inversion", "--seed", "3",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -25,3 +29,14 @@ def test_inversion_smoke_replay_runs_clean():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0, proc.stdout[-2000:]
+    return result
+
+
+def test_inversion_smoke_replay_runs_clean():
+    _smoke_replay("inversion")
+
+
+@pytest.mark.parametrize("workload", ["long-take", "clip-batch"])
+def test_audio_smoke_replay_runs_clean(workload):
+    result = _smoke_replay(workload)
+    assert result["metrics"]["audio.onset_s"]["value"] > 0  # the audio path was traced

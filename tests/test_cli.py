@@ -254,6 +254,71 @@ class TestTrainToy:
         assert main(args) == 0
 
 
+    def test_nan_target_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, n=2)
+        path = data / "sample000.json"
+        # Python's json reads the NaN literal, so the sample parses
+        path.write_text(path.read_text().replace('"target": [', '"target": [NaN, ', 1))
+        args = ["train-toy", "--data", str(data), "--epochs", "1",
+                "--output", str(tmp_path / "ckpt.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sample000.json" in err and "finite" in err and "Traceback" not in err
+
+    def test_divergent_lr_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        write_dataset(data, n=4)
+        args = ["train-toy", "--data", str(data), "--lr", "1e6", "--epochs", "50",
+                "--output", str(tmp_path / "ckpt.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch") and err.count("\n") == 1
+        assert not (tmp_path / "ckpt.json").exists()
+
+
+class TestDeeplyNestedJson:
+    """100 000 nested arrays exceed the JSON parser's recursion limit."""
+
+    NESTED = "[" * 100_000
+
+    def _assert_one_error_line(self, capsys, args):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_train_toy(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "s.json").write_text(self.NESTED)
+        self._assert_one_error_line(
+            capsys, ["train-toy", "--data", str(data), "--output", str(tmp_path / "c.json")]
+        )
+
+    def test_extract_rhythm(self, tmp_path, capsys):
+        poses = tmp_path / "poses.json"
+        poses.write_text(self.NESTED)
+        self._assert_one_error_line(capsys, ["extract-rhythm", "--poses", str(poses),
+                                             "--output", str(tmp_path / "r.json")])
+
+    def test_evaluate_beats(self, tmp_path, capsys):
+        bad = tmp_path / "beats.json"
+        bad.write_text(self.NESTED)
+        self._assert_one_error_line(capsys, ["evaluate", "--gen", str(bad), "--ref", str(bad)])
+
+    def test_evaluate_tempo(self, tmp_path, capsys):
+        beats = tmp_path / "beats.json"
+        beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
+        bad = tmp_path / "tempo_gen.json"
+        bad.write_text(self.NESTED)
+        ref = tmp_path / "tempo_ref.json"
+        ref.write_text('{"bpm": 120.0}')
+        self._assert_one_error_line(capsys, ["evaluate", "--gen", str(beats), "--ref", str(beats),
+                                             "--tempo-gen", str(bad), "--tempo-ref", str(ref)])
+
+
 class TestGradcheckCommand:
     def test_mlp_regression_passes(self, tmp_path):
         out = tmp_path / "report.json"

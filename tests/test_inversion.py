@@ -330,7 +330,7 @@ class TestTraining:
         ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=3, frozen_seed=2)
         cfg = TrainingConfig(learning_rate=1e9, epochs=200, seed=3, frozen_seed=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="diverged at epoch"):
+            with pytest.raises(ValueError, match="diverged at epoch"):
                 train(cfg, ds, SMALL)
 
     def test_rhythm_input_sensitivity(self):
