@@ -114,6 +114,11 @@ class BeatList:
             doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed beats JSON: {exc}") from exc
+        return cls.from_json_dict(doc)
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "BeatList":
+        """The BeatList of an already parsed beats document."""
         if not isinstance(doc, dict) or "beats_sec" not in doc:
             raise ValueError('beats JSON must be an object with "beats_sec"')
         return cls(times=np.asarray(doc["beats_sec"], dtype=np.float64))

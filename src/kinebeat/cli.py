@@ -52,9 +52,9 @@ def _load_beats(path: str) -> audio.BeatList:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from exc
     if isinstance(doc, dict) and "beats_sec" in doc:
-        return audio.BeatList.from_json(data)
+        return audio.BeatList.from_json_dict(doc)
     if isinstance(doc, dict) and "bits" in doc:
-        return audio.beats_from_rhythm(rhythm.RhythmSequence.from_json(data))
+        return audio.beats_from_rhythm(rhythm.RhythmSequence.from_json_dict(doc))
     raise ValueError(f'{path}: expected "beats_sec" or a rhythm file with "bits"')
 
 

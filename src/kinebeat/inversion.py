@@ -355,14 +355,16 @@ def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBat
         k = x @ p.w_key.T
         v = x @ p.w_value.T
         scale = 1.0 / math.sqrt(p.frame_embed.shape[0])
-        scores = (q @ k.transpose(0, 2, 1)) * scale
-        scores -= scores.max(axis=2, keepdims=True)
-        attn = np.exp(scores)
+        attn = q @ k.transpose(0, 2, 1)  # the scores, turned into softmax rows in place
+        attn *= scale
+        attn -= attn.max(axis=2, keepdims=True)
+        np.exp(attn, out=attn)
         attn /= attn.sum(axis=2, keepdims=True)
-        o = attn @ v
-        pool = o.mean(axis=1)
+        # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
+        col = attn.mean(axis=1)  # (B, T)
+        pool = (col[:, None, :] @ v)[:, 0]
         v_rhythm = pool @ p.w_out.T + p.b_out
-        trace = (x, q, k, v, attn, pool, scale)
+        trace = (x, q, k, v, attn, col, pool, scale)
     # non-slot prompt rows contribute a constant to the pooled mean
     rows = frozen.table.entries[list(frozen.template.tokens)].copy()
     rows[frozen.template.genre_slot] = 0.0
@@ -445,16 +447,17 @@ def batch_loss_and_gradients(
         grads["rhythm.b1"] += dz1.sum(axis=0)
     else:
         p = params.rhythm
-        x, q, k, v, attn, pool, scale = trace
+        x, q, k, v, attn, col, pool, scale = trace
         n_frames = x.shape[1]
         grads["rhythm.w_out"] += dslot.T @ pool
         grads["rhythm.b_out"] += dslot.sum(axis=0)
         dpool = dslot @ p.w_out  # (B, d')
-        do = np.broadcast_to(dpool[:, None, :] / n_frames, x.shape)
-        dattn = do @ v.transpose(0, 2, 1)
-        dv = attn.transpose(0, 2, 1) @ do
-        ds = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
-        ds = ds * scale
+        # every query row receives dpool / T, so d(attn) is the same row u for all of them
+        u = (v @ dpool[:, :, None])[:, :, 0] / n_frames  # (B, T)
+        dv = col[:, :, None] * dpool[:, None, :]
+        ds = u[:, None, :] - attn @ u[:, :, None]  # softmax backward, in place below
+        ds *= attn
+        ds *= scale
         dq = ds @ k
         dk = ds.transpose(0, 2, 1) @ q
         grads["rhythm.w_query"] += np.tensordot(dq, x, axes=([0, 1], [0, 1]))
@@ -520,7 +523,8 @@ class GradCheckReport:
 
     Relative error is |analytic - fd| / max(|analytic|, |fd|, 1e-6); the
     floor keeps finite-difference roundoff on near-zero coordinates from
-    registering as disagreement.
+    registering as disagreement. worst_index holds, per block, the flat
+    index of the coordinate where that block's error was found.
     """
 
     variant: str
@@ -529,6 +533,7 @@ class GradCheckReport:
     step: float
     threshold: float
     block_errors: dict
+    worst_index: dict
     max_error: float
     passed: bool
 
@@ -540,6 +545,7 @@ class GradCheckReport:
             "step": self.step,
             "threshold": self.threshold,
             "block_errors": dict(self.block_errors),
+            "worst_index": dict(self.worst_index),
             "max_error": self.max_error,
             "passed": self.passed,
         }
@@ -576,9 +582,11 @@ def gradcheck(
     batch = prepare_batch(raw, dims)  # validated once, not on every probe
     _, analytic = batch_loss_and_gradients(params, frozen, batch, dims)
     block_errors = {}
+    worst_index = {}
     for name, block in params.blocks().items():
         flat = block.reshape(-1)
         worst = 0.0
+        worst_index[name] = 0
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
@@ -591,6 +599,7 @@ def gradcheck(
             err = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
             if err > worst:
                 worst = err
+                worst_index[name] = i
         block_errors[name] = worst
     max_error = max(block_errors.values())
     return GradCheckReport(
@@ -600,6 +609,7 @@ def gradcheck(
         step=step,
         threshold=threshold,
         block_errors=block_errors,
+        worst_index=worst_index,
         max_error=max_error,
         passed=bool(max_error < threshold),
     )

@@ -150,6 +150,11 @@ class RhythmSequence:
             doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed rhythm JSON: {exc}") from exc
+        return cls.from_json_dict(doc)
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "RhythmSequence":
+        """The RhythmSequence of an already parsed rhythm document."""
         if not isinstance(doc, dict) or "fps" not in doc or "bits" not in doc:
             raise ValueError('rhythm JSON must be an object with "fps" and "bits"')
         return cls(fps=doc["fps"], bits=np.asarray(doc["bits"]))

@@ -127,6 +127,26 @@ class TestEvaluate:
         assert lines[-1].startswith("summary,")
         assert len(lines) == 3
 
+    def test_each_input_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        bits = np.zeros(120, dtype=int)
+        bits[[30, 60, 90]] = 1
+        r = tmp_path / "r.json"
+        r.write_bytes(RhythmSequence(fps=60.0, bits=bits).to_json())
+        b = tmp_path / "b.json"
+        b.write_bytes(BeatList(times=np.array([0.5, 1.0, 1.5])).to_json())
+        parsed = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        assert main(["evaluate", "--gen", str(b), "--ref", str(r)]) == 0
+        assert len(parsed) == 2
+        monkeypatch.undo()
+        assert json.loads(capsys.readouterr().out)["clips"][0]["report"]["f1"] == 1.0
+
     def test_tempo_difference_included(self, tmp_path, capsys):
         beats = tmp_path / "beats.json"
         beats.write_bytes(BeatList(times=np.array([1.0])).to_json())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,98 @@ def zeroed(params):
     for block in params.blocks().values():
         block[...] = 0.0
     return params
+
+
+def dense_attnpos_loss_and_gradients(blocks, prompt_rows, genre_slot, rhythm_slot, gen_weights, mode,
+                                     genres, rhythms, targets):
+    """The attnpos loss and gradients as computed before the attention was
+    mean-pooled in closed form: o = attn @ v is formed, and the backward pass
+    broadcasts do to every query row. Plain arrays in and out; blocks maps the
+    nine parameter names to arrays. Also returns the softmax rows."""
+    n_tokens = len(prompt_rows)
+    v_genre = np.tanh(genres @ blocks["genre.weight"].T + blocks["genre.bias"])
+    fe, pos = blocks["rhythm.frame_embed"], blocks["rhythm.pos_table"]
+    wq, wk, wv = blocks["rhythm.w_query"], blocks["rhythm.w_key"], blocks["rhythm.w_value"]
+    w_out, b_out = blocks["rhythm.w_out"], blocks["rhythm.b_out"]
+    x = rhythms[:, :, None] * fe + pos  # (B, T, d')
+    q = x @ wq.T
+    k = x @ wk.T
+    v = x @ wv.T
+    scale = 1.0 / math.sqrt(fe.shape[0])
+    scores = (q @ k.transpose(0, 2, 1)) * scale
+    scores -= scores.max(axis=2, keepdims=True)
+    attn = np.exp(scores)
+    attn /= attn.sum(axis=2, keepdims=True)
+    o = attn @ v
+    pool = o.mean(axis=1)
+    v_rhythm = pool @ w_out.T + b_out
+    rows = prompt_rows.copy()
+    rows[genre_slot] = 0.0
+    rows[rhythm_slot] = 0.0
+    fixed = rows.sum(axis=0)
+    pooled = (fixed + v_genre + v_rhythm) / n_tokens
+
+    n = pooled.shape[0]
+    if mode == "regression":
+        t = np.stack([np.asarray(y, dtype=np.float64).reshape(-1) for y in targets])
+        diff = pooled @ gen_weights.T - t
+        m = diff.shape[1]
+        loss = float((diff * diff).sum() / (n * m))
+        dpooled = (2.0 / (n * m)) * diff @ gen_weights
+    else:
+        logits = pooled @ gen_weights.T
+        logz = logits.max(axis=1) + np.log(
+            np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)
+        )
+        dlogits = np.exp(logits - logz[:, None])
+        losses = np.empty(n)
+        for i, target in enumerate(targets):
+            ids = np.atleast_1d(np.asarray(target)).astype(np.int64)
+            losses[i] = logz[i] - logits[i, ids].mean()
+            np.add.at(dlogits[i], ids, -1.0 / len(ids))
+        loss = float(losses.mean())
+        dpooled = (dlogits / n) @ gen_weights
+
+    grads = {}
+    dslot = dpooled / n_tokens
+    dz_g = dslot * (1.0 - v_genre * v_genre)
+    grads["genre.weight"] = dz_g.T @ genres
+    grads["genre.bias"] = dz_g.sum(axis=0)
+    n_frames = x.shape[1]
+    grads["rhythm.w_out"] = dslot.T @ pool
+    grads["rhythm.b_out"] = dslot.sum(axis=0)
+    dpool = dslot @ w_out  # (B, d')
+    do = np.broadcast_to(dpool[:, None, :] / n_frames, x.shape)
+    dattn = do @ v.transpose(0, 2, 1)
+    dv = attn.transpose(0, 2, 1) @ do
+    ds = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    ds = ds * scale
+    dq = ds @ k
+    dk = ds.transpose(0, 2, 1) @ q
+    grads["rhythm.w_query"] = np.tensordot(dq, x, axes=([0, 1], [0, 1]))
+    grads["rhythm.w_key"] = np.tensordot(dk, x, axes=([0, 1], [0, 1]))
+    grads["rhythm.w_value"] = np.tensordot(dv, x, axes=([0, 1], [0, 1]))
+    dx = dq @ wq + dk @ wk + dv @ wv
+    grads["rhythm.pos_table"] = dx.sum(axis=0)
+    grads["rhythm.frame_embed"] = np.tensordot(rhythms, dx, axes=([0, 1], [0, 1]))
+    return loss, grads, attn
+
+
+def assert_matches_dense(params, frozen, batch, dims):
+    """batch_loss_and_gradients against the dense reference: loss at rel 1e-12,
+    each gradient block within 1e-12 of that block's largest magnitude."""
+    prep = prepare_batch(batch, dims)
+    tpl = frozen.template
+    expected_loss, expected, attn = dense_attnpos_loss_and_gradients(
+        params.blocks(), frozen.table.entries[list(tpl.tokens)], tpl.genre_slot, tpl.rhythm_slot,
+        frozen.generator.weights, frozen.generator.mode, prep.genres, prep.rhythms, prep.targets,
+    )
+    loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    assert sorted(grads) == sorted(expected) and len(grads) == 9
+    for name, ref in expected.items():
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    return attn
 
 
 class TestAssemble:
@@ -291,6 +384,73 @@ class TestGradients:
                 got = batch_loss(params, frozen, batch, SMALL)
                 assert got == pytest.approx(expected, rel=1e-12), (variant, mode)
 
+    @pytest.mark.parametrize("mode", ["regression", "categorical"])
+    @pytest.mark.parametrize("n_samples", [1, 3, 16])
+    @pytest.mark.parametrize("rhythm_len", [1, 5, 308])
+    @pytest.mark.parametrize("attn_dim", [3, 16])
+    def test_attnpos_matches_dense_reference(self, mode, n_samples, rhythm_len, attn_dim):
+        dims = ModelDims(attn_dim=attn_dim, rhythm_len=rhythm_len)
+        frozen = build_frozen(dims, mode, seed=rhythm_len)
+        params = init_encoder_params(dims, "attnpos", seed=attn_dim)
+        batch = make_random_batch(dims, mode, n_samples, np.random.default_rng(n_samples))
+        assert_matches_dense(params, frozen, batch, dims)
+
+    def test_attnpos_matches_dense_reference_with_a_nearly_one_hot_row(self):
+        # a large first coordinate of frame 0, which only the query sees, makes
+        # softmax row 0 nearly one-hot: there attn @ u nearly cancels u
+        dims = ModelDims()
+        frozen = build_frozen(dims, "categorical", seed=4)
+        params = init_encoder_params(dims, "attnpos", seed=5)
+        p = params.rhythm
+        p.w_key[:, 0] = 0.0
+        p.w_value[:, 0] = 0.0
+        p.pos_table[0, 0] = 1e4
+        batch = make_random_batch(dims, "categorical", 3, np.random.default_rng(6))
+        attn = assert_matches_dense(params, frozen, batch, dims)
+        assert (attn[:, 0].max(axis=1) > 0.99).all()
+        assert attn[:, 1:].max() < 0.01
+
+    def test_attnpos_memory_is_bounded_by_the_attention(self):
+        # one (B, T, T) buffer for the softmax and one for its backward pass
+        dims = ModelDims()
+        frozen = build_frozen(dims, "categorical", seed=1)
+        params = init_encoder_params(dims, "attnpos", seed=2)
+        batch = prepare_batch(make_random_batch(dims, "categorical", 16, np.random.default_rng(3)), dims)
+        attn_bytes = 16 * dims.rhythm_len ** 2 * 8
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(params, frozen, batch, dims)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(batch_loss_and_gradients) < 3 * attn_bytes
+        assert peak(batch_loss) < 1.5 * attn_bytes
+
+    def test_gradcheck_worst_index_reproduces_block_error(self):
+        seed, n_samples = 5, 2
+        report = gradcheck("attnpos", "categorical", seed=seed, dims=SMALL, n_samples=n_samples)
+        assert report.to_json_dict()["worst_index"] == report.worst_index
+        frozen = build_frozen(SMALL, "categorical", np.random.default_rng([seed, 0]).integers(2**32))
+        params = init_encoder_params(SMALL, "attnpos", np.random.default_rng([seed, 1]).integers(2**32))
+        batch = make_random_batch(SMALL, "categorical", n_samples, np.random.default_rng([seed, 2]))
+        _, analytic = batch_loss_and_gradients(params, frozen, batch, SMALL)
+        step = report.step
+        for name, block in params.blocks().items():
+            i = report.worst_index[name]
+            flat = block.reshape(-1)
+            keep = flat[i]
+            flat[i] = keep + step
+            up = batch_loss(params, frozen, batch, SMALL)
+            flat[i] = keep - step
+            down = batch_loss(params, frozen, batch, SMALL)
+            flat[i] = keep
+            fd = (up - down) / (2.0 * step)
+            a = analytic[name].reshape(-1)[i]
+            assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) == report.block_errors[name], name
+
 
 class TestTraining:
     def test_zero_learning_rate_constant_history(self):
@@ -300,9 +460,12 @@ class TestTraining:
         assert len(history) == 21
         assert len(set(history)) == 1
 
-    def test_same_seed_bitwise_identical(self):
-        ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=3, frozen_seed=2)
-        cfg = TrainingConfig(learning_rate=1.0, epochs=50, seed=3, frozen_seed=2)
+    @pytest.mark.parametrize("variant,mode", [("mlp", "regression"), ("attnpos", "categorical")])
+    def test_same_seed_bitwise_identical(self, variant, mode):
+        ds = make_teacher_student_dataset(SMALL, variant, mode, 4, seed=3, frozen_seed=2)
+        cfg = TrainingConfig(
+            variant=variant, mode=mode, learning_rate=1.0, epochs=50, seed=3, frozen_seed=2
+        )
         a = train(cfg, ds, SMALL)
         b = train(cfg, ds, SMALL)
         assert checkpoint_bytes(a) == checkpoint_bytes(b)
