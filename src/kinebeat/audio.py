@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rhythm import RhythmSequence
+from .pose import json_number, positive_number
+from .rhythm import RhythmSequence, peak_half_window, windowed_peaks
 
 DEFAULT_STFT_WINDOW = 1024
 DEFAULT_STFT_HOP = 256
@@ -119,9 +120,9 @@ class BeatList:
     @classmethod
     def from_json_dict(cls, doc) -> "BeatList":
         """The BeatList of an already parsed beats document."""
-        if not isinstance(doc, dict) or "beats_sec" not in doc:
-            raise ValueError('beats JSON must be an object with "beats_sec"')
-        return cls(times=np.asarray(doc["beats_sec"], dtype=np.float64))
+        if not isinstance(doc, dict) or not isinstance(doc.get("beats_sec"), list):
+            raise ValueError('beats JSON must be an object with a "beats_sec" list')
+        return cls(times=[json_number(t, '"beats_sec" entry') for t in doc["beats_sec"]])
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,7 @@ class TempoEstimate:
     bpm: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.bpm) and self.bpm > 0):
-            raise ValueError(f"bpm must be positive, got {self.bpm!r}")
-        object.__setattr__(self, "bpm", float(self.bpm))
+        object.__setattr__(self, "bpm", positive_number(self.bpm, "bpm"))
 
     def to_json(self) -> bytes:
         return json.dumps({"bpm": self.bpm}).encode("utf-8")
@@ -144,7 +143,7 @@ class TempoEstimate:
             raise ValueError(f"malformed tempo JSON: {exc}") from exc
         if not isinstance(doc, dict) or "bpm" not in doc:
             raise ValueError('tempo JSON must be an object with "bpm"')
-        return cls(bpm=float(doc["bpm"]))
+        return cls(bpm=doc["bpm"])
 
 
 def read_wav(data: bytes) -> AudioClip:
@@ -290,24 +289,14 @@ def pick_beats(
     and is >= the mean over that same window plus delta times the whole
     signal's standard deviation. Beat time is t / frame_rate.
     """
-    if not (window > 0):
-        raise ValueError(f"window must be positive, got {window!r}")
+    half = peak_half_window(window, env.frame_rate)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     v = env.values
-    n = len(v)
-    half = int(round(window * env.frame_rate / 2.0))
     sigma = float(v.std())
     times = []
-    for t in range(n):
-        if not v[t] > 0.0:
-            continue
-        if t > 0 and v[t - 1] == v[t]:
-            continue
-        lo = max(0, t - half)
-        hi = min(n, t + half + 1)
-        seg = v[lo:hi]
-        if v[t] >= seg.max() and v[t] >= seg.mean() + delta * sigma:
+    for t in windowed_peaks(v, half, 0.0).tolist():  # the window-mean test, at the survivors only
+        if v[t] >= v[max(0, t - half) : t + half + 1].mean() + delta * sigma:
             times.append(t / env.frame_rate)
     return BeatList(times=np.asarray(times, dtype=np.float64))
 

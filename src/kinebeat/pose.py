@@ -22,6 +22,24 @@ def _reject_constant(token):
     raise ValueError(f"non-finite literal {token!r} not accepted")
 
 
+def json_number(value, what: str) -> float:
+    """value as a float; a bool, a non-number or an int too large for a float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large: {exc}") from exc
+
+
+def positive_number(value, what: str) -> float:
+    """json_number(value, what), which must also be finite and positive."""
+    number = json_number(value, what)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{what} must be a positive finite number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class PoseSequence:
     """Timed 2D keypoint trajectories: frames has shape (T, J, 3) = (x, y, confidence)."""
@@ -32,9 +50,7 @@ class PoseSequence:
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
         object.__setattr__(self, "frames", frames)
-        if not (isinstance(self.fps, (int, float)) and math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"fps must be a positive finite number, got {self.fps!r}")
-        object.__setattr__(self, "fps", float(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         if frames.ndim != 3 or frames.shape[2] != 3:
             raise ValueError(f"frames must have shape (T, J, 3), got {frames.shape}")
         if frames.shape[0] < 3:
@@ -99,9 +115,6 @@ def parse_pose_file(data: bytes) -> PoseSequence:
         raise ValueError(f"malformed keypoint JSON: {exc}") from exc
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
         raise ValueError('keypoint JSON must be an object with "fps" and "frames"')
-    fps = doc["fps"]
-    if isinstance(fps, bool) or not isinstance(fps, (int, float)):
-        raise ValueError(f"fps must be a number, got {fps!r}")
     raw = doc["frames"]
     if not isinstance(raw, list) or len(raw) < 3:
         raise ValueError(f"need at least 3 frames, got {len(raw) if isinstance(raw, list) else 0}")
@@ -115,14 +128,13 @@ def parse_pose_file(data: bytes) -> PoseSequence:
                 raise ValueError("frame 0 has no joints")
         elif len(frame) != n_joints:
             raise ValueError(f"ragged joints at frame {t}: expected {n_joints}, got {len(frame)}")
+        what = f"keypoint value at frame {t}"
         for kp in frame:
-            if (
-                not isinstance(kp, list)
-                or len(kp) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in kp)
-            ):
+            if not isinstance(kp, list) or len(kp) != 3:
                 raise ValueError(f"bad keypoint at frame {t}: expected [x, y, confidence]")
-    return PoseSequence(fps=float(fps), frames=np.asarray(raw, dtype=np.float64))
+            for v in kp:
+                json_number(v, what)
+    return PoseSequence(fps=doc["fps"], frames=np.asarray(raw, dtype=np.float64))
 
 
 def serialize_pose_file(seq: PoseSequence) -> bytes:

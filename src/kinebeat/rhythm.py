@@ -3,15 +3,15 @@
 The pipeline turns pose trajectories into a binary per-frame beat indicator:
 
 1. frame-to-frame velocity of every joint,
-2. direction discretization: each velocity's magnitude is assigned to one of
-   K angular bins by its direction,
+2. direction discretization: each velocity's magnitude (speed) is assigned
+   to one of K angular bins by its direction; a still joint has no bin,
 3. half-wave-rectified temporal difference of the binned magnitudes,
 4. sum over joints and bins into a single total-acceleration curve,
 5. windowed local maxima of that curve mark the kinematic beats.
 
-A direction reversal moves a joint's magnitude between bins, which the
-rectified difference registers as a spike even when speed is constant; this
-is what makes movement transitions visible to step 5.
+Steps 2-4 keep a speed and bin index per joint, not a (T, J, K) array: over
+bins, the rectified difference sums to speed[t+1] where the bin changed, else
+max(0, speed[t+1] - speed[t]), so a reversal spikes even at constant speed.
 
 Index alignment: velocities live between frames, and the acceleration at
 index t is aligned to original frame t + 2 (each of the two difference
@@ -26,18 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import PoseSequence, interpolate_low_confidence
+from .pose import PoseSequence, interpolate_low_confidence, positive_number
 
 DEFAULT_BINS = 8
 DEFAULT_WINDOW_SECONDS = 0.3
 DEFAULT_MIN_REL = 0.05
-
-
-def _require_finite_fps(fps) -> float:
-    if not (isinstance(fps, (int, float)) and math.isfinite(fps) and fps > 0):
-        raise ValueError(f"fps must be a positive finite number, got {fps!r}")
-    return float(fps)
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class VelocityField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fps", _require_finite_fps(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 3 or values.shape[2] != 2:
@@ -59,43 +54,54 @@ class VelocityField:
 
 @dataclass(frozen=True)
 class DirectionalVelocity:
-    """Velocity magnitude mass per direction bin; shape (T-1, J, K).
+    """Per-joint speed and direction bin, both of shape (T-1, J).
 
-    For each (t, j) at most one bin is nonzero; a zero-magnitude velocity
-    leaves the whole row zero.
+    bin[t, j] is in [0, bins), or -1 exactly where speed[t, j] is 0: a still
+    joint has no direction.
     """
 
     fps: float
     bins: int
-    values: np.ndarray
+    speed: np.ndarray
+    bin: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fps", _require_finite_fps(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         if self.bins < 2:
             raise ValueError(f"need at least 2 direction bins, got {self.bins}")
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 3 or values.shape[2] != self.bins:
-            raise ValueError(f"values must have shape (T-1, J, {self.bins}), got {values.shape}")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("binned magnitudes must be finite and nonnegative")
-        if ((values > 0).sum(axis=2) > 1).any():
-            raise ValueError("more than one nonzero bin for a single (t, j)")
+        speed = np.asarray(self.speed, dtype=np.float64)
+        index = np.asarray(self.bin)
+        object.__setattr__(self, "speed", speed)
+        object.__setattr__(self, "bin", index)
+        if speed.ndim != 2 or index.shape != speed.shape:
+            raise ValueError(f"speed and bin need one (T-1, J) shape, got {speed.shape}, {index.shape}")
+        if not np.isfinite(speed).all() or (speed < 0).any():
+            raise ValueError("speeds must be finite and nonnegative")
+        valid = np.where(speed > 0.0, (index >= 0) & (index < self.bins), index == -1)
+        if index.dtype.kind != "i" or not valid.all():
+            raise ValueError(f"bin must be in [0, {self.bins}) where speed > 0, and -1 where it is 0")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (T-1, J, K) view, built on each read; a still joint's 0 lands in bin 0."""
+        dense = np.zeros(self.speed.shape + (self.bins,))
+        np.put_along_axis(dense, np.maximum(self.bin, 0)[:, :, None], self.speed[:, :, None], axis=2)
+        return dense
 
 
 @dataclass(frozen=True)
 class DiscreteAcceleration:
-    """Half-wave-rectified temporal difference of binned velocity; shape (T-2, J, K)."""
+    """Half-wave-rectified temporal difference of binned velocity, summed over bins; shape (T-2, J)."""
 
     fps: float
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fps", _require_finite_fps(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 3:
-            raise ValueError(f"values must have shape (T-2, J, K), got {values.shape}")
+        if values.ndim != 2:
+            raise ValueError(f"values must have shape (T-2, J), got {values.shape}")
         if not np.isfinite(values).all() or (values < 0).any():
             raise ValueError("rectified accelerations must be finite and nonnegative")
 
@@ -108,7 +114,7 @@ class TotalAcceleration:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fps", _require_finite_fps(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
@@ -125,7 +131,7 @@ class RhythmSequence:
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fps", _require_finite_fps(self.fps))
+        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         bits = np.asarray(self.bits)
         if bits.ndim != 1:
             raise ValueError(f"bits must be a vector, got shape {bits.shape}")
@@ -189,7 +195,7 @@ def direction_discretize(vel: VelocityField, bins: int = DEFAULT_BINS) -> Direct
     The direction angle is the two-argument arctangent of (vy, vx) mapped to
     [0, 2*pi); sector k covers [k, k+1) * 2*pi/bins, with the top edge
     clamped into the last sector. Zero-magnitude velocities carry no
-    direction and leave all bins zero.
+    direction and get bin -1.
     """
     if bins < 2:
         raise ValueError(f"need at least 2 direction bins, got {bins}")
@@ -200,29 +206,50 @@ def direction_discretize(vel: VelocityField, bins: int = DEFAULT_BINS) -> Direct
     theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
     width = 2.0 * np.pi / bins
     k = np.minimum(np.floor(theta / width).astype(np.int64), bins - 1)
-    values = np.zeros(vel.values.shape[:2] + (bins,), dtype=np.float64)
-    np.put_along_axis(values, k[:, :, None], np.where(speed > 0.0, speed, 0.0)[:, :, None], axis=2)
-    return DirectionalVelocity(fps=vel.fps, bins=bins, values=values)
+    return DirectionalVelocity(fps=vel.fps, bins=bins, speed=speed, bin=np.where(speed > 0.0, k, -1))
 
 
 def discrete_acceleration(dv: DirectionalVelocity) -> DiscreteAcceleration:
-    """Temporal difference of binned magnitudes, keeping positive values only."""
-    if dv.values.shape[0] < 2:
+    """Temporal difference of binned magnitudes, keeping positive values only, summed over bins."""
+    if dv.speed.shape[0] < 2:
         raise ValueError("need at least 2 velocity steps to differentiate")
-    diff = dv.values[1:] - dv.values[:-1]
-    return DiscreteAcceleration(fps=dv.fps, values=np.maximum(0.0, diff))
+    rise = np.maximum(0.0, dv.speed[1:] - dv.speed[:-1])
+    moved = dv.bin[1:] != dv.bin[:-1]
+    return DiscreteAcceleration(fps=dv.fps, values=np.where(moved, dv.speed[1:], rise))
 
 
 def total_acceleration(aq: DiscreteAcceleration) -> TotalAcceleration:
-    """Sum rectified accelerations over joints and bins.
+    """Sum rectified accelerations over joints.
 
     Uses exact (fsum) accumulation so the result does not depend on
     summation order; this keeps the pipeline bit-identical to a plain
-    nested-loop transcription.
+    nested-loop transcription, whose extra (J, K) terms are exact zeros.
     """
-    flat = aq.values.reshape(aq.values.shape[0], -1)
-    totals = np.array([math.fsum(row) for row in flat.tolist()], dtype=np.float64)
+    totals = np.array([math.fsum(row) for row in aq.values.tolist()], dtype=np.float64)
     return TotalAcceleration(fps=aq.fps, values=totals)
+
+
+def peak_half_window(window: float, rate: float) -> int:
+    """Half-width in frames, round(window * rate / 2), of a peak window of `window` seconds."""
+    if not (window > 0 and window * rate < math.inf):
+        raise ValueError(f"window must be positive and finite in frames, got {window!r} s")
+    return int(round(window * rate / 2.0))
+
+
+def windowed_peaks(values: np.ndarray, half: int, floor: float) -> np.ndarray:
+    """Indices t of the windowed maxima of values that exceed floor.
+
+    t is kept iff values[t] > floor, values[t] >= every value within `half`
+    frames on either side (windows clipped at the edges), and t is the first
+    of its plateau (run of equal values). All comparisons are exact.
+    """
+    half = min(half, len(values))
+    keep = values > floor
+    keep[1:] &= values[1:] != values[:-1]
+    if len(values):
+        padded = np.pad(values, half, constant_values=-np.inf)
+        keep &= values >= sliding_window_view(padded, 2 * half + 1).max(axis=1)
+    return np.flatnonzero(keep)
 
 
 def detect_kinematic_beats(
@@ -239,24 +266,13 @@ def detect_kinematic_beats(
     of its plateau (run of equal values). Beat t is written at rhythm index
     t + 2 to align with the original frames.
     """
-    if not (window > 0):
-        raise ValueError(f"window must be positive, got {window!r}")
+    half = peak_half_window(window, acc.fps)
     if min_value < 0 or min_rel < 0:
         raise ValueError("thresholds must be nonnegative")
     a = acc.values
-    n = len(a)
-    half = int(round(window * acc.fps / 2.0))
-    threshold = max(min_value, min_rel * float(a.max())) if n else min_value
-    bits = np.zeros(n + 2, dtype=np.uint8)
-    for t in range(n):
-        if not a[t] > threshold:
-            continue
-        if t > 0 and a[t - 1] == a[t]:
-            continue
-        lo = max(0, t - half)
-        hi = min(n, t + half + 1)
-        if a[t] >= a[lo:hi].max():
-            bits[t + 2] = 1
+    threshold = max(min_value, min_rel * float(a.max())) if len(a) else min_value
+    bits = np.zeros(len(a) + 2, dtype=np.uint8)
+    bits[windowed_peaks(a, half, threshold) + 2] = 1
     return RhythmSequence(fps=acc.fps, bits=bits)
 
 

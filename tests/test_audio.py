@@ -27,7 +27,7 @@ from kinebeat.audio import (
 from kinebeat.cli import main
 from kinebeat.rhythm import RhythmSequence
 
-from conftest import click_wav_bytes, wav_bytes
+from conftest import click_wav_bytes, pick_beats_loop, wav_bytes
 
 SR = 22050
 
@@ -368,6 +368,18 @@ class TestPickBeats:
         if len(beats):
             assert beats.times[0] >= 0.0
             assert beats.times[-1] <= len(env.values) / env.frame_rate
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, data):
+        n = data.draw(st.one_of(st.integers(1, 3), st.integers(4, 80)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = np.round(rng.uniform(0, 3, size=n), data.draw(st.integers(0, 1)))  # plateaus
+        half = data.draw(st.integers(0, n + 3))  # up to wider than the signal
+        window = (2 * half + 0.5) / 86.0  # rounds to exactly `half` frames
+        delta = data.draw(st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+        beats = pick_beats(OnsetEnvelope(frame_rate=86.0, values=values), window, delta)
+        assert beats.times.tobytes() == pick_beats_loop(values, 86.0, window, delta).tobytes()
 
 
 class TestEstimateTempo:

@@ -39,4 +39,7 @@ def test_inversion_smoke_replay_runs_clean():
 @pytest.mark.parametrize("workload", ["long-take", "clip-batch"])
 def test_audio_smoke_replay_runs_clean(workload):
     result = _smoke_replay(workload)
-    assert result["metrics"]["audio.onset_s"]["value"] > 0  # the audio path was traced
+    # each stage the replay patches by name was reached through it, so its layer was traced
+    for name in ("audio.onset_s", "audio.pick_s", "rhythm.discretize_s", "rhythm.accel_s",
+                 "rhythm.total_s", "rhythm.peaks_s"):
+        assert result["metrics"][name]["value"] > 0, name

@@ -3,13 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from kinebeat.audio import BeatList
+from kinebeat.audio import BeatList, onset_envelope, read_wav
 from kinebeat.cli import main
 from kinebeat.inversion import ModelDims, make_teacher_student_dataset, sample_json_dict
-from kinebeat.pose import serialize_pose_file
+from kinebeat.pose import PoseSequence, serialize_pose_file
 from kinebeat.rhythm import RhythmSequence
 
-from conftest import click_wav_bytes, pose_from_xy, triangle_pose, wav_bytes
+from conftest import (
+    click_wav_bytes,
+    pick_beats_loop,
+    pose_from_xy,
+    random_pose_frames,
+    triangle_pose,
+    wav_bytes,
+)
+from oracles import rhythm_bits_oracle
 
 
 def write_dataset(path, n=8, seed=7):
@@ -337,6 +345,81 @@ class TestDeeplyNestedJson:
         ref.write_text('{"bpm": 120.0}')
         self._assert_one_error_line(capsys, ["evaluate", "--gen", str(beats), "--ref", str(beats),
                                              "--tempo-gen", str(bad), "--tempo-ref", str(ref)])
+
+
+class TestPeakWindowFlags:
+    """extract-rhythm --window and detect-beats --peak-window go through one check."""
+
+    @pytest.mark.parametrize("command, flag, input_flag", [
+        ("extract-rhythm", "--window", "--poses"),
+        ("detect-beats", "--peak-window", "--audio"),
+    ])
+    def test_infinite_window_exits_2(self, tmp_path, capsys, command, flag, input_flag):
+        poses = tmp_path / "osc.json"
+        poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=320, half_period=30)))
+        wav = tmp_path / "clicks.wav"
+        wav.write_bytes(click_wav_bytes(120, seconds=2.0))
+        path = poses if input_flag == "--poses" else wav
+        args = [command, input_flag, str(path), flag, "inf", "--output", str(tmp_path / "out.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window must be positive and finite") and err.count("\n") == 1
+
+    def test_huge_window_matches_oracle(self, tmp_path, rng):
+        frames = random_pose_frames(rng, 60, 3)
+        poses = tmp_path / "poses.json"
+        poses.write_bytes(serialize_pose_file(PoseSequence(60.0, frames)))
+        out = tmp_path / "r.json"
+        args = ["extract-rhythm", "--poses", str(poses), "--window", "1e9", "--conf-threshold", "0",
+                "--clip", "none", "--output", str(out)]
+        assert main(args) == 0
+        expected = rhythm_bits_oracle(frames.tolist(), 60.0, 8, 1e9, 0.0, 0.05)
+        assert RhythmSequence.from_json(out.read_bytes()).bits.tolist() == expected
+
+    def test_huge_peak_window_matches_reference_loop(self, tmp_path, capsys):
+        wav = tmp_path / "clicks.wav"
+        wav.write_bytes(click_wav_bytes(120, seconds=2.0))
+        assert main(["detect-beats", "--audio", str(wav), "--peak-window", "1e9"]) == 0
+        env = onset_envelope(read_wav(wav.read_bytes()))
+        expected = pick_beats_loop(env.values, env.frame_rate, 1e9, 0.1)
+        assert json.loads(capsys.readouterr().out)["beats_sec"] == expected.tolist()
+
+
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+class TestBadJsonNumbers:
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param("poses", '{"fps": 60, "frames": [[[%s, 0, 1]], [[0, 0, 1]], [[0, 0, 1]]]}' % HUGE,
+                     id="pose-coordinate-huge"),
+        pytest.param("poses", '{"fps": %s, "frames": [[[0, 0, 1]], [[1, 0, 1]], [[0, 0, 1]]]}' % HUGE,
+                     id="pose-fps-huge"),
+        pytest.param("beats", '{"beats_sec": [0.5, %s]}' % HUGE, id="beats-huge"),
+        pytest.param("beats", '{"beats_sec": {"a": 1}}', id="beats-object"),
+        pytest.param("beats", '{"fps": %s, "bits": [0, 0, 1]}' % HUGE, id="rhythm-fps-huge"),
+        pytest.param("beats", '{"fps": true, "bits": [0, 0, 1]}', id="rhythm-fps-bool"),
+        pytest.param("tempo", '{"bpm": %s}' % HUGE, id="bpm-huge"),
+        pytest.param("tempo", '{"bpm": [1]}', id="bpm-list"),
+        pytest.param("tempo", '{"bpm": null}', id="bpm-null"),
+        pytest.param("tempo", '{"bpm": "120"}', id="bpm-string"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, kind, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        beats = tmp_path / "beats.json"
+        beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
+        tempo = tmp_path / "tempo.json"
+        tempo.write_text('{"bpm": 120.0}')
+        args = {
+            "poses": ["extract-rhythm", "--poses", str(bad), "--output", str(tmp_path / "r.json")],
+            "beats": ["evaluate", "--gen", str(bad), "--ref", str(beats)],
+            "tempo": ["evaluate", "--gen", str(beats), "--ref", str(beats),
+                      "--tempo-gen", str(bad), "--tempo-ref", str(tempo)],
+        }[kind]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestGradcheckCommand:

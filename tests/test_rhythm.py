@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,41 @@ from kinebeat.rhythm import (
     total_acceleration,
 )
 
-from conftest import pose_from_xy, random_pose_frames, repeat_frames, sine_pose, triangle_pose
+from conftest import (
+    detect_beats_loop,
+    pose_from_xy,
+    random_pose_frames,
+    repeat_frames,
+    sine_pose,
+    triangle_pose,
+)
 from oracles import direction_bin_oracle, rhythm_bits_oracle, windowed_peaks_oracle
 
 RAW = RhythmConfig(confidence_threshold=0.0, min_rel=0.0)
+
+
+def dense_directogram(vel, bins):
+    """The dense (T-1, J, K) one-hot directogram of a (T-1, J, 2) velocity array.
+
+    direction_discretize's former dense construction, kept verbatim as the
+    reference for its speed and bin index form.
+    """
+    vx = vel[:, :, 0]
+    vy = vel[:, :, 1]
+    speed = np.sqrt(vx * vx + vy * vy)
+    theta = np.arctan2(vy, vx)
+    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
+    width = 2.0 * np.pi / bins
+    k = np.minimum(np.floor(theta / width).astype(np.int64), bins - 1)
+    values = np.zeros(vel.shape[:2] + (bins,), dtype=np.float64)
+    np.put_along_axis(values, k[:, :, None], np.where(speed > 0.0, speed, 0.0)[:, :, None], axis=2)
+    return values
+
+
+def dense_total_acceleration(dense):
+    """Rectified difference of the dense directogram, fsum over joints and bins per step."""
+    flat = np.maximum(0.0, dense[1:] - dense[:-1]).reshape(len(dense) - 1, -1)
+    return np.array([math.fsum(row) for row in flat.tolist()], dtype=np.float64)
 
 
 class TestVelocity:
@@ -104,48 +136,66 @@ class TestDirectionDiscretize:
 
 class TestAcceleration:
     def test_constant_velocity_zero_acceleration(self):
-        values = np.tile(np.array([[[0.0, 2.0, 0.0, 0.0]]]), (6, 1, 1))
-        aq = discrete_acceleration(DirectionalVelocity(60.0, 4, values))
+        dv = DirectionalVelocity(60.0, 4, speed=np.full((6, 1), 2.0), bin=np.full((6, 1), 1))
+        aq = discrete_acceleration(dv)
         assert not aq.values.any()
 
     def test_step_up_registers(self):
-        values = np.zeros((2, 1, 4))
-        values[1, 0, 2] = 5.0
-        aq = discrete_acceleration(DirectionalVelocity(60.0, 4, values))
-        assert aq.values[0, 0, 2] == 5.0
+        dv = DirectionalVelocity(60.0, 4, speed=np.array([[0.0], [5.0]]), bin=np.array([[-1], [2]]))
+        aq = discrete_acceleration(dv)
+        assert aq.values[0, 0] == 5.0
 
     def test_step_down_is_rectified(self):
-        values = np.zeros((2, 1, 4))
-        values[0, 0, 2] = 5.0
-        aq = discrete_acceleration(DirectionalVelocity(60.0, 4, values))
+        dv = DirectionalVelocity(60.0, 4, speed=np.array([[5.0], [0.0]]), bin=np.array([[2], [-1]]))
+        aq = discrete_acceleration(dv)
         assert not aq.values.any()
 
+    def test_bin_change_registers_full_speed(self):
+        # the mass leaves bin 1 for bin 2: +5 in bin 2, and bin 1's -6 is rectified away
+        dv = DirectionalVelocity(60.0, 4, speed=np.array([[6.0], [5.0]]), bin=np.array([[1], [2]]))
+        aq = discrete_acceleration(dv)
+        assert aq.values[0, 0] == 5.0
+
     def test_total_of_zeros(self):
-        acc = total_acceleration(DiscreteAcceleration(60.0, np.zeros((4, 2, 8))))
+        acc = total_acceleration(DiscreteAcceleration(60.0, np.zeros((4, 2))))
         assert not acc.values.any()
 
     def test_total_single_entry(self):
-        values = np.zeros((4, 2, 8))
-        values[1, 0, 2] = 3.5
+        values = np.zeros((4, 2))
+        values[1, 0] = 3.5
         acc = total_acceleration(DiscreteAcceleration(60.0, values))
         np.testing.assert_array_equal(acc.values, [0.0, 3.5, 0.0, 0.0])
 
     def test_total_matches_fsum_loops(self, rng):
-        values = rng.uniform(0, 5, size=(7, 3, 8))
+        values = rng.uniform(0, 5, size=(7, 3))
         acc = total_acceleration(DiscreteAcceleration(60.0, values))
         for t in range(7):
-            expected = math.fsum(values[t, j, k] for j in range(3) for k in range(8))
+            expected = math.fsum(values[t, j] for j in range(3))
             assert acc.values[t] == expected
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_total_is_monotone(self, seed):
         rng = np.random.default_rng(seed)
-        base = rng.uniform(0, 5, size=(6, 2, 4))
+        base = rng.uniform(0, 5, size=(6, 2))
         bumped = base + rng.uniform(0, 1, size=base.shape)
         lo = total_acceleration(DiscreteAcceleration(60.0, base))
         hi = total_acceleration(DiscreteAcceleration(60.0, bumped))
         assert (hi.values >= lo.values).all()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.integers(1, 5), st.sampled_from([2, 4, 8]))
+    @settings(max_examples=100, deadline=None)
+    def test_stages_match_dense_reference(self, seed, n_frames, n_joints, bins):
+        rng = np.random.default_rng(seed)
+        # coarse steps that are often zero: still joints, repeated speeds and bins
+        steps = rng.integers(-2, 3, size=(n_frames - 1, n_joints, 2)).astype(np.float64)
+        xy = np.concatenate([np.zeros((1, n_joints, 2)), np.cumsum(steps, axis=0)])
+        vel = compute_velocity(pose_from_xy(xy))
+        dv = direction_discretize(vel, bins)
+        dense = dense_directogram(vel.values, bins)
+        assert dv.values.tobytes() == dense.tobytes()
+        got = total_acceleration(discrete_acceleration(dv)).values
+        assert got.tobytes() == dense_total_acceleration(dense).tobytes()
 
 
 class TestDetectBeats:
@@ -175,6 +225,25 @@ class TestDetectBeats:
         r = detect_kinematic_beats(acc, window=0.1, min_value=0.3)
         expected = windowed_peaks_oracle(values.tolist(), 60.0, 0.1, 0.3, offset=2)
         np.testing.assert_array_equal(r.bits, expected)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, data):
+        n = data.draw(st.one_of(st.integers(1, 3), st.integers(4, 60)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = np.round(rng.uniform(0, 3, size=n), data.draw(st.integers(0, 1)))  # plateaus
+        half = data.draw(st.integers(0, n + 3))  # up to wider than the signal
+        window = (2 * half + 0.5) / 60.0  # rounds to exactly `half` frames
+        min_value = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+        min_rel = data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+        r = detect_kinematic_beats(TotalAcceleration(60.0, values), window, min_value, min_rel)
+        assert r.bits.tobytes() == detect_beats_loop(values, 60.0, window, min_value, min_rel).tobytes()
+
+    @pytest.mark.parametrize("window", [0.0, math.nan, math.inf, 1e308])
+    def test_rejects_window_without_a_finite_positive_width(self, window):
+        acc = TotalAcceleration(60.0, np.array([0.0, 0.0, 9.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            detect_kinematic_beats(acc, window=window)
 
 
 class TestExtractRhythm:
@@ -251,6 +320,19 @@ class TestExtractRhythm:
         acc = total_acceleration(discrete_acceleration(dv))
         acc_rot = total_acceleration(discrete_acceleration(dv_rot))
         np.testing.assert_allclose(acc_rot.values, acc.values, rtol=1e-9, atol=1e-12)
+
+    def test_long_take_builds_no_per_bin_array(self):
+        # a 3-minute take: 10 800 x 17 x 8 float64 is 11.7 MB per dense directogram
+        rng = np.random.default_rng(5)
+        xy = np.cumsum(rng.normal(0.0, 2.0, size=(10_800, 17, 2)), axis=0)
+        seq = PoseSequence(60.0, np.concatenate([xy, rng.uniform(0, 1, size=(10_800, 17, 1))], axis=2))
+        tracemalloc.start()
+        try:
+            extract_rhythm(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"extract_rhythm peaked at {peak / 1e6:.1f} MB"
 
     def test_frame_repetition_scales_beat_intervals(self):
         seq = sine_pose(n_frames=512, period=60)
