@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import json_number, positive_number
+from .pose import load_json, number_array, positive_number
 from .rhythm import RhythmSequence, peak_half_window, windowed_peaks
 
 DEFAULT_STFT_WINDOW = 1024
@@ -111,18 +111,14 @@ class BeatList:
 
     @classmethod
     def from_json(cls, data: bytes) -> "BeatList":
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"malformed beats JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(data, "malformed beats JSON"))
 
     @classmethod
     def from_json_dict(cls, doc) -> "BeatList":
         """The BeatList of an already parsed beats document."""
         if not isinstance(doc, dict) or not isinstance(doc.get("beats_sec"), list):
             raise ValueError('beats JSON must be an object with a "beats_sec" list')
-        return cls(times=[json_number(t, '"beats_sec" entry') for t in doc["beats_sec"]])
+        return cls(times=number_array(doc["beats_sec"], '"beats_sec"'))
 
 
 @dataclass(frozen=True)
@@ -137,10 +133,7 @@ class TempoEstimate:
 
     @classmethod
     def from_json(cls, data: bytes) -> "TempoEstimate":
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"malformed tempo JSON: {exc}") from exc
+        doc = load_json(data, "malformed tempo JSON")
         if not isinstance(doc, dict) or "bpm" not in doc:
             raise ValueError('tempo JSON must be an object with "bpm"')
         return cls(bpm=doc["bpm"])
@@ -290,7 +283,7 @@ def pick_beats(
     signal's standard deviation. Beat time is t / frame_rate.
     """
     half = peak_half_window(window, env.frame_rate)
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta!r}")
     v = env.values
     sigma = float(v.std())
@@ -315,8 +308,11 @@ def estimate_tempo(
     if not (bpm_min < bpm_max) or bpm_min <= 0:
         raise ValueError(f"need 0 < bpm_min < bpm_max, got {bpm_min}, {bpm_max}")
     fr = env.frame_rate
+    longest = 60.0 * fr / bpm_min
+    if not math.isfinite(longest):
+        raise ValueError(f"the longest lag at {bpm_min} BPM and {fr:.2f} Hz is not finite")
     lag_min = max(1, math.ceil(60.0 * fr / bpm_max))
-    lag_max = math.floor(60.0 * fr / bpm_min)
+    lag_max = math.floor(longest)
     if lag_min > lag_max:
         raise ValueError(f"no integer lag lies in [{bpm_min}, {bpm_max}] BPM at {fr:.2f} Hz")
     v = env.values

@@ -46,11 +46,7 @@ def _write_output(payload: str, output) -> None:
 
 def _load_beats(path: str) -> audio.BeatList:
     """Accept either a beats JSON or a rhythm JSON (converted to beat times)."""
-    data = _read_file(path)
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    doc = pose.load_json(_read_file(path), f"{path}: malformed JSON")
     if isinstance(doc, dict) and "beats_sec" in doc:
         return audio.BeatList.from_json_dict(doc)
     if isinstance(doc, dict) and "bits" in doc:
@@ -170,8 +166,8 @@ def _cmd_train_toy(args) -> int:
     for path in files:
         data = _read_file(str(path))
         try:
-            dataset.append(inversion.sample_from_json_dict(json.loads(data.decode("utf-8"))))
-        except (ValueError, RecursionError) as exc:  # malformed UTF-8 or JSON, or a bad sample
+            dataset.append(inversion.sample_from_json_dict(pose.load_json(data, "malformed JSON")))
+        except ValueError as exc:  # malformed UTF-8 or JSON, or a bad sample
             raise ValueError(f"{path}: {exc}") from exc
     config = inversion.TrainingConfig(
         variant=args.variant,

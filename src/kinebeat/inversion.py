@@ -22,9 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .pose import load_json, number_array
 
 PROMPT_WORDS = ("a", "@", "music", "with", "*", "as", "the", "rhythm")
 GENRE_WORD = "@"
@@ -57,15 +59,7 @@ class ModelDims:
             raise ValueError("need at least 2 genres")
 
     def to_json_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden": self.hidden,
-            "attn_dim": self.attn_dim,
-            "rhythm_len": self.rhythm_len,
-            "n_genres": self.n_genres,
-            "target_dim": self.target_dim,
-            "audio_vocab": self.audio_vocab,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -213,14 +207,7 @@ class TrainingConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "mode": self.mode,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "frozen_seed": self.frozen_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -538,17 +525,7 @@ class GradCheckReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "mode": self.mode,
-            "seed": self.seed,
-            "step": self.step,
-            "threshold": self.threshold,
-            "block_errors": dict(self.block_errors),
-            "worst_index": dict(self.worst_index),
-            "max_error": self.max_error,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def make_random_batch(dims: ModelDims, mode: str, n_samples: int, rng) -> list:
@@ -654,20 +631,6 @@ def sample_json_dict(sample: Sample, fps: float = 60.0) -> dict:
     }
 
 
-def _number_array(value, what: str, dtype=np.float64) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
-        raise ValueError(f"{what} must be a list of numbers")
-    try:
-        array = np.asarray(value, dtype=dtype)
-    except OverflowError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-    if not np.isfinite(array).all():  # the NaN and Infinity literals Python's json accepts
-        raise ValueError(f"{what} must be finite")
-    return array
-
-
 def sample_from_json_dict(doc) -> Sample:
     """Inverse of sample_json_dict: checks the types and structure of one sample.
 
@@ -684,9 +647,9 @@ def sample_from_json_dict(doc) -> Sample:
     target = doc.get("target")
     integral = isinstance(target, list) and all(type(t) is int for t in target)
     return Sample(
-        rhythm_bits=_number_array(rhythm.get("bits"), '"rhythm.bits"'),
-        genre=_number_array(doc.get("genre"), '"genre"'),
-        target=_number_array(target, '"target"', np.int64 if integral else np.float64),
+        rhythm_bits=number_array(rhythm.get("bits"), '"rhythm.bits"'),
+        genre=number_array(doc.get("genre"), '"genre"'),
+        target=number_array(target, '"target"', np.int64 if integral else np.float64),
     )
 
 
@@ -707,10 +670,7 @@ def checkpoint_bytes(result: TrainResult) -> bytes:
 
 
 def load_checkpoint(data: bytes) -> dict:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed checkpoint JSON: {exc}") from exc
+    doc = load_json(data, "malformed checkpoint JSON")
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("unsupported checkpoint format")
     return doc

@@ -17,7 +17,7 @@ flagged zero scores instead of errors so batch evaluation never aborts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,16 +49,7 @@ class AlignmentReport:
     degenerate: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "b_g": self.b_g,
-            "b_t": self.b_t,
-            "b_a": self.b_a,
-            "bcs": self.bcs,
-            "bhs": self.bhs,
-            "f1": self.f1,
-            "pairs": [[g, r] for g, r in self.pairs],
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -83,19 +74,7 @@ class AggregateReport:
     pooled_f1: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_clips": self.n_clips,
-            "b_g": self.b_g,
-            "b_t": self.b_t,
-            "b_a": self.b_a,
-            "mean_bcs": self.mean_bcs,
-            "mean_bhs": self.mean_bhs,
-            "mean_f1": self.mean_f1,
-            "f1_of_means": self.f1_of_means,
-            "pooled_bcs": self.pooled_bcs,
-            "pooled_bhs": self.pooled_bhs,
-            "pooled_f1": self.pooled_f1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -106,7 +85,7 @@ class PhaseAlignment:
     report: AlignmentReport
 
     def to_json_dict(self) -> dict:
-        return {"offset": self.offset, "report": self.report.to_json_dict()}
+        return asdict(self)
 
 
 def _match_times(gen: np.ndarray, ref: np.ndarray, tolerance: float):

@@ -4,6 +4,9 @@ Keypoint files are JSON: ``{"fps": <number>, "frames": [[[x, y, confidence],
 ... J entries], ... T frames]}``. Coordinates are pixels, confidence is in
 [0, 1]. The COCO 17-joint ordering is the documented convention, but the
 joint count is not hard-coded.
+
+This module is also the JSON boundary of every reader: load_json decodes a
+document, and json_number, positive_number and number_array check its values.
 """
 
 from __future__ import annotations
@@ -38,6 +41,32 @@ def positive_number(value, what: str) -> float:
     if not (math.isfinite(number) and number > 0):
         raise ValueError(f"{what} must be a positive finite number, got {value!r}")
     return number
+
+
+def number_array(value, what: str, dtype=np.float64) -> np.ndarray:
+    """value, a JSON list of numbers (no bools), as a finite array of dtype; else ValueError."""
+    if not isinstance(value, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        raise ValueError(f"{what} must be a list of numbers")
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    if not np.isfinite(array).all():  # the NaN and Infinity literals Python's json accepts
+        raise ValueError(f"{what} must be finite")
+    return array
+
+
+def load_json(data: bytes, what: str, parse_constant=None):
+    """The JSON document in UTF-8 bytes; bad UTF-8 or JSON raises ValueError(f"{what}: ...").
+
+    NaN and Infinity literals parse as floats unless parse_constant raises.
+    """
+    try:
+        return json.loads(data.decode("utf-8"), parse_constant=parse_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,7 +126,10 @@ class ClipSpec:
             raise ValueError(f"clip duration must be positive, got {self.duration!r}")
 
     def frames_at(self, fps: float) -> int:
-        return int(round(self.duration * fps))
+        frames = self.duration * fps
+        if not math.isfinite(frames):
+            raise ValueError(f"clip of {self.duration} s at {fps} fps is not a finite frame count")
+        return int(round(frames))
 
 
 def parse_pose_file(data: bytes) -> PoseSequence:
@@ -107,12 +139,7 @@ def parse_pose_file(data: bytes) -> PoseSequence:
     non-finite coordinates, out-of-range confidences, and T < 3. Errors
     name the offending frame index where one exists.
     """
-    try:
-        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"keypoint file is not UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed keypoint JSON: {exc}") from exc
+    doc = load_json(data, "malformed keypoint JSON", parse_constant=_reject_constant)
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
         raise ValueError('keypoint JSON must be an object with "fps" and "frames"')
     raw = doc["frames"]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import PoseSequence, interpolate_low_confidence, positive_number
+from .pose import PoseSequence, interpolate_low_confidence, load_json, number_array, positive_number
 
 DEFAULT_BINS = 8
 DEFAULT_WINDOW_SECONDS = 0.3
@@ -152,18 +152,14 @@ class RhythmSequence:
 
     @classmethod
     def from_json(cls, data: bytes) -> "RhythmSequence":
-        try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"malformed rhythm JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(load_json(data, "malformed rhythm JSON"))
 
     @classmethod
     def from_json_dict(cls, doc) -> "RhythmSequence":
         """The RhythmSequence of an already parsed rhythm document."""
         if not isinstance(doc, dict) or "fps" not in doc or "bits" not in doc:
             raise ValueError('rhythm JSON must be an object with "fps" and "bits"')
-        return cls(fps=doc["fps"], bits=np.asarray(doc["bits"]))
+        return cls(fps=doc["fps"], bits=number_array(doc["bits"], '"bits"'))
 
 
 @dataclass(frozen=True)
@@ -199,6 +195,8 @@ def direction_discretize(vel: VelocityField, bins: int = DEFAULT_BINS) -> Direct
     """
     if bins < 2:
         raise ValueError(f"need at least 2 direction bins, got {bins}")
+    if bins > np.iinfo(np.int64).max:
+        raise ValueError(f"direction bins must fit in int64, got {bins}")
     vx = vel.values[:, :, 0]
     vy = vel.values[:, :, 1]
     speed = np.sqrt(vx * vx + vy * vy)
@@ -267,7 +265,7 @@ def detect_kinematic_beats(
     t + 2 to align with the original frames.
     """
     half = peak_half_window(window, acc.fps)
-    if min_value < 0 or min_rel < 0:
+    if not (min_value >= 0 and min_rel >= 0):
         raise ValueError("thresholds must be nonnegative")
     a = acc.values
     threshold = max(min_value, min_rel * float(a.max())) if len(a) else min_value

@@ -398,6 +398,8 @@ class TestBadJsonNumbers:
         pytest.param("beats", '{"beats_sec": {"a": 1}}', id="beats-object"),
         pytest.param("beats", '{"fps": %s, "bits": [0, 0, 1]}' % HUGE, id="rhythm-fps-huge"),
         pytest.param("beats", '{"fps": true, "bits": [0, 0, 1]}', id="rhythm-fps-bool"),
+        pytest.param("beats", '{"fps": 60, "bits": [false, false, true, false, true]}',
+                     id="rhythm-bits-bool"),
         pytest.param("tempo", '{"bpm": %s}' % HUGE, id="bpm-huge"),
         pytest.param("tempo", '{"bpm": [1]}', id="bpm-list"),
         pytest.param("tempo", '{"bpm": null}', id="bpm-null"),
@@ -420,6 +422,37 @@ class TestBadJsonNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestBadNumericFlags:
+    """A NaN threshold or a value whose frame count overflows exits 2, not 0 or a traceback."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("extract-rhythm", ["--min-value", "nan"], "thresholds must be nonnegative",
+                     id="min-value-nan"),
+        pytest.param("extract-rhythm", ["--min-rel", "nan"], "thresholds must be nonnegative",
+                     id="min-rel-nan"),
+        pytest.param("detect-beats", ["--delta", "nan"], "delta must be nonnegative", id="delta-nan"),
+        pytest.param("extract-rhythm", ["--clip", "1e308"], "not a finite frame count",
+                     id="clip-frames-overflow"),
+        pytest.param("tempo", ["--bpm-min", "1e-320"], "longest lag", id="bpm-min-lag-overflow"),
+        pytest.param("extract-rhythm", ["--bins", "1" + "0" * 20], "direction bins must fit in int64",
+                     id="bins-overflow"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, flags, message):
+        if command == "extract-rhythm":
+            path = tmp_path / "osc.json"
+            path.write_bytes(serialize_pose_file(triangle_pose(n_frames=700, half_period=30)))
+            source = ["--poses", str(path)]
+        else:
+            path = tmp_path / "clicks.wav"
+            path.write_bytes(click_wav_bytes(120, seconds=3.0))
+            source = ["--audio", str(path)]
+        assert main([command, *source, *flags, "--output", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out*.json"))
 
 
 class TestGradcheckCommand:

@@ -1,10 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinebeat
 from kinebeat.pose import (
     ClipSpec,
     PoseSequence,
@@ -67,6 +70,29 @@ class TestParse:
         frames[3, 1, 2] = 1.5
         with pytest.raises(ValueError, match="confidence out of \\[0, 1\\] at frame 3"):
             parse_pose_file(make_file(60, frames))
+
+    def test_one_json_loader(self):
+        """json.loads is called once, in pose.load_json; no other module handles JSONDecodeError."""
+        loads, decode_errors = [], []
+
+        def visit(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, module, child.name)
+                    continue
+                if isinstance(child, ast.ImportFrom) and child.module == "json":
+                    loads.append((module, "from json import"))
+                if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                    if child.value.id == "json" and child.attr == "loads":
+                        loads.append((module, function))
+                    if child.value.id == "json" and child.attr == "JSONDecodeError":
+                        decode_errors.append(module)
+                visit(child, module, function)
+
+        for path in sorted(Path(kinebeat.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        assert loads == [("pose.py", "load_json")]
+        assert set(decode_errors) == {"pose.py"}
 
     def test_bad_fps(self, rng):
         frames = random_pose_frames(rng, 5, 2)

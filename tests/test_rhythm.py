@@ -11,6 +11,7 @@ from kinebeat.rhythm import (
     DirectionalVelocity,
     DiscreteAcceleration,
     RhythmConfig,
+    RhythmSequence,
     TotalAcceleration,
     compute_velocity,
     detect_kinematic_beats,
@@ -244,6 +245,14 @@ class TestDetectBeats:
         acc = TotalAcceleration(60.0, np.array([0.0, 0.0, 9.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="window must be positive and finite"):
             detect_kinematic_beats(acc, window=window)
+
+
+class TestRhythmFile:
+    def test_integral_float_bits_accepted_bools_rejected(self):
+        seq = RhythmSequence.from_json(b'{"fps": 60, "bits": [0, 0, 1.0, 0]}')
+        assert seq.to_json() == b'{"fps": 60.0, "bits": [0, 0, 1, 0]}'
+        with pytest.raises(ValueError, match='"bits" must be a list of numbers'):
+            RhythmSequence.from_json(b'{"fps": 60, "bits": [false, false, true, false]}')
 
 
 class TestExtractRhythm:
