@@ -120,6 +120,8 @@ def _evaluate_csv(names, reports, summary) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.format == "csv" and (args.phase_align or args.tempo_gen or args.tempo_ref):
+        raise ValueError("--phase-align, --tempo-gen and --tempo-ref need --format json")
     gen_paths = sorted(args.gen)
     ref_paths = sorted(args.ref)
     if len(gen_paths) != len(ref_paths):
@@ -139,6 +141,10 @@ def _cmd_evaluate(args) -> int:
             ).to_json_dict()
         reports.append(report)
         extras.append(entry)
+    if args.format == "csv":
+        summary = metrics.aggregate_reports(reports)
+        _write_output(_evaluate_csv(gen_paths, reports, summary), args.output)
+        return 0
     doc = {"clips": extras}
     if len(reports) > 1:
         doc["summary"] = metrics.aggregate_reports(reports).to_json_dict()
@@ -148,12 +154,7 @@ def _cmd_evaluate(args) -> int:
         t_gen = audio.TempoEstimate.from_json(_read_file(args.tempo_gen))
         t_ref = audio.TempoEstimate.from_json(_read_file(args.tempo_ref))
         doc["tempo_difference_bpm"] = metrics.tempo_difference(t_gen, t_ref)
-    if args.format == "csv":
-        summary = metrics.aggregate_reports(reports)
-        payload = _evaluate_csv(gen_paths, reports, summary)
-    else:
-        payload = json.dumps(doc, indent=2)
-    _write_output(payload, args.output)
+    _write_output(json.dumps(doc, indent=2), args.output)
     return 0
 
 
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search a global offset maximizing F1")
     p.add_argument("--tempo-gen", help="tempo JSON for the generated side")
     p.add_argument("--tempo-ref", help="tempo JSON for the reference side")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv has per-clip and summary rows, no offsets or tempo (default json)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -22,17 +22,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .pose import load_json, number_array
 
 PROMPT_WORDS = ("a", "@", "music", "with", "*", "as", "the", "rhythm")
-GENRE_WORD = "@"
-RHYTHM_WORD = "*"
+GENRE_SLOT = PROMPT_WORDS.index("@")
+RHYTHM_SLOT = PROMPT_WORDS.index("*")
 
-VARIANTS = ("mlp", "attnpos")
 MODES = ("regression", "categorical")
 
 GRADCHECK_STEP = 1e-5
@@ -63,69 +62,20 @@ class ModelDims:
 
 
 @dataclass(frozen=True)
-class PromptTemplate:
-    """Token ids of the fixed prompt plus the two pseudo-word slot indices."""
+class FrozenModel:
+    """The frozen embedding table and toy generator; never updated by training.
 
-    tokens: tuple
-    genre_slot: int
-    rhythm_slot: int
-
-    def __post_init__(self):
-        n = len(self.tokens)
-        if not (0 <= self.genre_slot < n and 0 <= self.rhythm_slot < n):
-            raise ValueError("slot indices must lie within the token sequence")
-        if self.genre_slot == self.rhythm_slot:
-            raise ValueError("genre and rhythm slots must differ")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def default_prompt_template() -> PromptTemplate:
-    return PromptTemplate(
-        tokens=tuple(range(len(PROMPT_WORDS))),
-        genre_slot=PROMPT_WORDS.index(GENRE_WORD),
-        rhythm_slot=PROMPT_WORDS.index(RHYTHM_WORD),
-    )
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Frozen vocab_size x d lookup; never updated by training."""
-
-    entries: np.ndarray
-
-    def digest(self) -> str:
-        return _digest(self.entries)
-
-
-@dataclass(frozen=True)
-class ToyGenerator:
-    """Frozen stand-in for the generative backbone.
-
-    regression: weights (target_dim x d), output compared to the target by MSE.
-    categorical: weights (audio_vocab x d), logits scored by cross-entropy.
+    table: (len(PROMPT_WORDS), d), one row per prompt word. weights: the
+    generator, (target_dim, d) outputs scored by MSE in regression mode or
+    (audio_vocab, d) logits scored by cross-entropy in categorical mode.
     """
 
     mode: str
+    table: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def digest(self) -> str:
-        return _digest(self.weights)
-
-
-@dataclass(frozen=True)
-class FrozenModel:
-    template: PromptTemplate
-    table: EmbeddingTable
-    generator: ToyGenerator
-
     def digests(self) -> dict:
-        return {"embedding_table": self.table.digest(), "generator": self.generator.digest()}
+        return {"embedding_table": _digest(self.table), "generator": _digest(self.weights)}
 
 
 @dataclass
@@ -133,17 +83,48 @@ class GenreEncoderParams:
     weight: np.ndarray  # (d, G)
     bias: np.ndarray    # (d,)
 
+    @staticmethod
+    def shapes(dims: ModelDims) -> dict:
+        return {"weight": (dims.embed_dim, dims.n_genres), "bias": (dims.embed_dim,)}
+
 
 @dataclass
 class MlpProjector:
+    """Rhythm bits -> embedding through one tanh hidden layer."""
+
     w1: np.ndarray  # (h, T)
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (d, h)
     b2: np.ndarray  # (d,)
 
+    @staticmethod
+    def shapes(dims: ModelDims) -> dict:
+        return {
+            "w1": (dims.hidden, dims.rhythm_len),
+            "b1": (dims.hidden,),
+            "w2": (dims.embed_dim, dims.hidden),
+            "b2": (dims.embed_dim,),
+        }
+
+    def forward(self, rhythms: np.ndarray):
+        hidden = np.tanh(rhythms @ self.w1.T + self.b1)
+        return hidden @ self.w2.T + self.b2, (hidden,)
+
+    def backward(self, rhythms: np.ndarray, trace, dslot: np.ndarray) -> dict:
+        (hidden,) = trace
+        dz1 = (dslot @ self.w2) * (1.0 - hidden * hidden)
+        return {
+            "w1": dz1.T @ rhythms,
+            "b1": dz1.sum(axis=0),
+            "w2": dslot.T @ hidden,
+            "b2": dslot.sum(axis=0),
+        }
+
 
 @dataclass
 class AttnPosProjector:
+    """Rhythm bits -> embedding through mean-pooled self-attention over frames."""
+
     frame_embed: np.ndarray  # (d',): lifts the per-frame scalar
     pos_table: np.ndarray    # (T, d')
     w_query: np.ndarray      # (d', d')
@@ -152,35 +133,77 @@ class AttnPosProjector:
     w_out: np.ndarray        # (d, d')
     b_out: np.ndarray        # (d,)
 
+    @staticmethod
+    def shapes(dims: ModelDims) -> dict:
+        a = dims.attn_dim
+        return {
+            "frame_embed": (a,),
+            "pos_table": (dims.rhythm_len, a),
+            "w_query": (a, a),
+            "w_key": (a, a),
+            "w_value": (a, a),
+            "w_out": (dims.embed_dim, a),
+            "b_out": (dims.embed_dim,),
+        }
+
+    def forward(self, rhythms: np.ndarray):
+        x = rhythms[:, :, None] * self.frame_embed + self.pos_table  # (B, T, d')
+        q = x @ self.w_query.T
+        k = x @ self.w_key.T
+        v = x @ self.w_value.T
+        scale = 1.0 / math.sqrt(self.frame_embed.shape[0])
+        attn = q @ k.transpose(0, 2, 1)  # the scores, turned into softmax rows in place
+        attn *= scale
+        attn -= attn.max(axis=2, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=2, keepdims=True)
+        # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
+        col = attn.mean(axis=1)  # (B, T)
+        pool = (col[:, None, :] @ v)[:, 0]
+        return pool @ self.w_out.T + self.b_out, (x, q, k, v, attn, col, pool, scale)
+
+    def backward(self, rhythms: np.ndarray, trace, dslot: np.ndarray) -> dict:
+        x, q, k, v, attn, col, pool, scale = trace
+        dpool = dslot @ self.w_out  # (B, d')
+        # every query row receives dpool / T, so d(attn) is the same row u for all of them
+        u = (v @ dpool[:, :, None])[:, :, 0] / x.shape[1]  # (B, T)
+        dv = col[:, :, None] * dpool[:, None, :]
+        ds = u[:, None, :] - attn @ u[:, :, None]  # softmax backward, in place below
+        ds *= attn
+        ds *= scale
+        dq = ds @ k
+        dk = ds.transpose(0, 2, 1) @ q
+        dx = dq @ self.w_query + dk @ self.w_key + dv @ self.w_value
+        return {
+            "frame_embed": np.tensordot(rhythms, dx, axes=([0, 1], [0, 1])),
+            "pos_table": dx.sum(axis=0),
+            "w_query": np.tensordot(dq, x, axes=([0, 1], [0, 1])),
+            "w_key": np.tensordot(dk, x, axes=([0, 1], [0, 1])),
+            "w_value": np.tensordot(dv, x, axes=([0, 1], [0, 1])),
+            "w_out": dslot.T @ pool,
+            "b_out": dslot.sum(axis=0),
+        }
+
+
+PROJECTORS = {"mlp": MlpProjector, "attnpos": AttnPosProjector}
+VARIANTS = tuple(PROJECTORS)
+
 
 @dataclass
 class EncoderParams:
     """The only trainable state: genre encoder plus one rhythm projector."""
 
-    variant: str
     genre: GenreEncoderParams
-    rhythm: object
+    rhythm: MlpProjector | AttnPosProjector
+
+    @property
+    def variant(self) -> str:
+        return next(name for name, cls in PROJECTORS.items() if type(self.rhythm) is cls)
 
     def blocks(self) -> dict:
-        """Named parameter arrays, in a fixed documented order."""
-        out = {"genre.weight": self.genre.weight, "genre.bias": self.genre.bias}
-        if self.variant == "mlp":
-            p = self.rhythm
-            out.update({"rhythm.w1": p.w1, "rhythm.b1": p.b1, "rhythm.w2": p.w2, "rhythm.b2": p.b2})
-        else:
-            p = self.rhythm
-            out.update(
-                {
-                    "rhythm.frame_embed": p.frame_embed,
-                    "rhythm.pos_table": p.pos_table,
-                    "rhythm.w_query": p.w_query,
-                    "rhythm.w_key": p.w_key,
-                    "rhythm.w_value": p.w_value,
-                    "rhythm.w_out": p.w_out,
-                    "rhythm.b_out": p.b_out,
-                }
-            )
-        return out
+        """Named parameter arrays: genre then rhythm, each in field order."""
+        parts = [(part.name, getattr(self, part.name)) for part in fields(self)]
+        return {f"{name}.{f.name}": getattr(p, f.name) for name, p in parts for f in fields(p)}
 
 
 @dataclass(frozen=True)
@@ -229,46 +252,27 @@ def build_frozen(dims: ModelDims, mode: str, seed: int) -> FrozenModel:
     Both are standard normal scaled by 1/sqrt(d), drawn in a fixed order:
     table first, then the generator matrix for the requested mode.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
     d = dims.embed_dim
     table = rng.standard_normal((len(PROMPT_WORDS), d)) / math.sqrt(d)
     rows = dims.target_dim if mode == "regression" else dims.audio_vocab
     weights = rng.standard_normal((rows, d)) / math.sqrt(d)
-    return FrozenModel(
-        template=default_prompt_template(),
-        table=EmbeddingTable(entries=table),
-        generator=ToyGenerator(mode=mode, weights=weights),
-    )
+    return FrozenModel(mode=mode, table=table, weights=weights)
 
 
 def init_encoder_params(dims: ModelDims, variant: str, seed: int) -> EncoderParams:
     """Seeded uniform [-0.1, 0.1] init; blocks are drawn in blocks() order."""
-    if variant not in VARIANTS:
+    if variant not in PROJECTORS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     rng = np.random.default_rng(seed)
 
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, shape)
+    def draw(cls):
+        shapes = cls.shapes(dims)
+        return cls(**{f.name: rng.uniform(-0.1, 0.1, shapes[f.name]) for f in fields(cls)})
 
-    genre = GenreEncoderParams(weight=u(dims.embed_dim, dims.n_genres), bias=u(dims.embed_dim))
-    if variant == "mlp":
-        rhythm = MlpProjector(
-            w1=u(dims.hidden, dims.rhythm_len),
-            b1=u(dims.hidden),
-            w2=u(dims.embed_dim, dims.hidden),
-            b2=u(dims.embed_dim),
-        )
-    else:
-        rhythm = AttnPosProjector(
-            frame_embed=u(dims.attn_dim),
-            pos_table=u(dims.rhythm_len, dims.attn_dim),
-            w_query=u(dims.attn_dim, dims.attn_dim),
-            w_key=u(dims.attn_dim, dims.attn_dim),
-            w_value=u(dims.attn_dim, dims.attn_dim),
-            w_out=u(dims.embed_dim, dims.attn_dim),
-            b_out=u(dims.embed_dim),
-        )
-    return EncoderParams(variant=variant, genre=genre, rhythm=rhythm)
+    return EncoderParams(genre=draw(GenreEncoderParams), rhythm=draw(PROJECTORS[variant]))
 
 
 def _fit_length(bits, length: int) -> np.ndarray:
@@ -290,26 +294,47 @@ def _check_one_hot(g) -> np.ndarray:
     return g
 
 
-def _zero_grads(params: EncoderParams) -> dict:
-    return {name: np.zeros_like(block) for name, block in params.blocks().items()}
+def _stack_targets(targets, dims: ModelDims, mode: str) -> np.ndarray:
+    """Regression: the (B, target_dim) targets. Categorical: a (B, V) weight
+    matrix holding 1/len(ids) per listed id, so a repeated id counts once per listing."""
+    if mode == "regression":
+        t = np.stack([np.asarray(x, dtype=np.float64).reshape(-1) for x in targets])
+        expected = (len(targets), dims.target_dim)
+        if t.shape != expected:
+            raise ValueError(f"target shape {t.shape} does not match output {expected}")
+        return t
+    n_vocab = dims.audio_vocab
+    weights = np.zeros((len(targets), n_vocab))
+    for row, target in zip(weights, targets):
+        ids = np.asarray(target).reshape(-1)
+        # integral floats such as 1.0 are ids; 1.7 or an empty list is not a target
+        if ids.size == 0 or (ids != np.floor(ids)).any() or ids.min() < 0 or ids.max() >= n_vocab:
+            raise ValueError(
+                f"target token ids must be a nonempty list of integers in [0, {n_vocab})"
+            )
+        np.add.at(row, ids.astype(np.int64), 1.0 / ids.size)
+    return weights
 
 
 @dataclass(frozen=True)
 class PreparedBatch:
     """Validated, length-fitted batch stacked for vectorized training."""
 
+    mode: str
     rhythms: np.ndarray  # (B, T)
     genres: np.ndarray   # (B, G)
-    targets: list
+    targets: np.ndarray  # (B, target_dim) regression targets or (B, V) token-id weights
 
 
-def prepare_batch(batch, dims: ModelDims = ModelDims()) -> "PreparedBatch":
-    """Validate and stack a list of Samples; a PreparedBatch passes through.
+def prepare_batch(batch, dims: ModelDims, mode: str) -> PreparedBatch:
+    """Validate and stack a list of Samples; a PreparedBatch of this mode passes through.
 
     Loops that evaluate the same batch many times (training epochs, gradient
     check probes) prepare it once and pass the PreparedBatch on.
     """
     if isinstance(batch, PreparedBatch):
+        if batch.mode != mode:
+            raise ValueError(f"batch was prepared for {batch.mode!r}, not {mode!r}")
         return batch
     batch = list(batch)
     if not batch:
@@ -318,7 +343,8 @@ def prepare_batch(batch, dims: ModelDims = ModelDims()) -> "PreparedBatch":
     genres = np.stack([_check_one_hot(s.genre) for s in batch])
     if genres.shape[1] != dims.n_genres:
         raise ValueError(f"genre input must have {dims.n_genres} entries, got {genres.shape[1]}")
-    return PreparedBatch(rhythms=rhythms, genres=genres, targets=[s.target for s in batch])
+    targets = _stack_targets([s.target for s in batch], dims, mode)
+    return PreparedBatch(mode=mode, rhythms=rhythms, genres=genres, targets=targets)
 
 
 def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBatch):
@@ -328,82 +354,36 @@ def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBat
     mean over the prompt with both slots substituted; trace holds the
     rhythm projector's intermediates for the backward pass.
     """
-    n_tokens = len(frozen.template)
     v_genre = np.tanh(prep.genres @ params.genre.weight.T + params.genre.bias)
-    if params.variant == "mlp":
-        p = params.rhythm
-        hidden = np.tanh(prep.rhythms @ p.w1.T + p.b1)
-        v_rhythm = hidden @ p.w2.T + p.b2
-        trace = (hidden,)
-    else:
-        p = params.rhythm
-        x = prep.rhythms[:, :, None] * p.frame_embed + p.pos_table  # (B, T, d')
-        q = x @ p.w_query.T
-        k = x @ p.w_key.T
-        v = x @ p.w_value.T
-        scale = 1.0 / math.sqrt(p.frame_embed.shape[0])
-        attn = q @ k.transpose(0, 2, 1)  # the scores, turned into softmax rows in place
-        attn *= scale
-        attn -= attn.max(axis=2, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=2, keepdims=True)
-        # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
-        col = attn.mean(axis=1)  # (B, T)
-        pool = (col[:, None, :] @ v)[:, 0]
-        v_rhythm = pool @ p.w_out.T + p.b_out
-        trace = (x, q, k, v, attn, col, pool, scale)
+    v_rhythm, trace = params.rhythm.forward(prep.rhythms)
     # non-slot prompt rows contribute a constant to the pooled mean
-    rows = frozen.table.entries[list(frozen.template.tokens)].copy()
-    rows[frozen.template.genre_slot] = 0.0
-    rows[frozen.template.rhythm_slot] = 0.0
-    fixed = rows.sum(axis=0)
-    pooled = (fixed + v_genre + v_rhythm) / n_tokens
+    rows = frozen.table.copy()
+    rows[GENRE_SLOT] = 0.0
+    rows[RHYTHM_SLOT] = 0.0
+    pooled = (rows.sum(axis=0) + v_genre + v_rhythm) / len(PROMPT_WORDS)
     return pooled, v_genre, v_rhythm, trace
 
 
-def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets):
+def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets: np.ndarray):
     """Mean loss over the batch and its gradient w.r.t. pooled embeddings."""
-    gen = frozen.generator
     n = pooled.shape[0]
-    if gen.mode == "regression":
-        t = np.stack([np.asarray(x, dtype=np.float64).reshape(-1) for x in targets])
-        y = pooled @ gen.weights.T
-        if y.shape != t.shape:
-            raise ValueError(f"target shape {t.shape} does not match output {y.shape}")
-        diff = y - t
+    out = pooled @ frozen.weights.T  # (B, target_dim) outputs or (B, V) logits
+    if frozen.mode == "regression":
+        diff = out - targets
         m = diff.shape[1]
         loss = float((diff * diff).sum() / (n * m))
-        dpooled = (2.0 / (n * m)) * diff @ gen.weights
-        return loss, dpooled
-    logits = pooled @ gen.weights.T  # (B, V)
-    logz = logits.max(axis=1) + np.log(
-        np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1)
-    )
-    p = np.exp(logits - logz[:, None])
-    losses = np.empty(n)
-    dlogits = p.copy()
-    n_vocab = logits.shape[1]
-    for i, target in enumerate(targets):
-        ids = np.atleast_1d(np.asarray(target))
-        # integral floats such as 1.0 are ids; 1.7 or an empty list is not a target
-        if ids.size == 0 or (ids != np.floor(ids)).any() or (ids < 0).any() or (ids >= n_vocab).any():
-            raise ValueError(
-                f"target token ids must be a nonempty list of integers in [0, {n_vocab})"
-            )
-        ids = ids.astype(np.int64)
-        losses[i] = logz[i] - logits[i, ids].mean()
-        np.add.at(dlogits[i], ids, -1.0 / len(ids))
-    loss = float(losses.mean())
-    dpooled = (dlogits / n) @ gen.weights
-    return loss, dpooled
+        return loss, (2.0 / (n * m)) * diff @ frozen.weights
+    logz = out.max(axis=1) + np.log(np.exp(out - out.max(axis=1, keepdims=True)).sum(axis=1))
+    p = np.exp(out - logz[:, None])
+    loss = float((logz - (targets * out).sum(axis=1)).mean())
+    return loss, ((p - targets) / n) @ frozen.weights
 
 
 def batch_loss(params: EncoderParams, frozen: FrozenModel, batch, dims: ModelDims = ModelDims()) -> float:
     """Mean reconstruction loss over a batch, forward only."""
-    prep = prepare_batch(batch, dims)
+    prep = prepare_batch(batch, dims, frozen.mode)
     pooled, _, _, _ = _batch_forward(params, frozen, prep)
-    loss, _ = _batch_loss_grad(frozen, pooled, prep.targets)
-    return loss
+    return _batch_loss_grad(frozen, pooled, prep.targets)[0]
 
 
 def batch_loss_and_gradients(
@@ -414,45 +394,14 @@ def batch_loss_and_gradients(
     The embedding table and generator are constants of the computation, so
     no gradient exists for them by construction.
     """
-    prep = prepare_batch(batch, dims)
-    grads = _zero_grads(params)
-    n_tokens = len(frozen.template)
+    prep = prepare_batch(batch, dims, frozen.mode)
     pooled, v_genre, _, trace = _batch_forward(params, frozen, prep)
     loss, dpooled = _batch_loss_grad(frozen, pooled, prep.targets)
-    dslot = dpooled / n_tokens  # only the two slot rows depend on parameters
+    dslot = dpooled / len(PROMPT_WORDS)  # only the two slot rows depend on parameters
     dz_g = dslot * (1.0 - v_genre * v_genre)
-    grads["genre.weight"] += dz_g.T @ prep.genres
-    grads["genre.bias"] += dz_g.sum(axis=0)
-    if params.variant == "mlp":
-        p = params.rhythm
-        (hidden,) = trace
-        grads["rhythm.w2"] += dslot.T @ hidden
-        grads["rhythm.b2"] += dslot.sum(axis=0)
-        dhidden = dslot @ p.w2
-        dz1 = dhidden * (1.0 - hidden * hidden)
-        grads["rhythm.w1"] += dz1.T @ prep.rhythms
-        grads["rhythm.b1"] += dz1.sum(axis=0)
-    else:
-        p = params.rhythm
-        x, q, k, v, attn, col, pool, scale = trace
-        n_frames = x.shape[1]
-        grads["rhythm.w_out"] += dslot.T @ pool
-        grads["rhythm.b_out"] += dslot.sum(axis=0)
-        dpool = dslot @ p.w_out  # (B, d')
-        # every query row receives dpool / T, so d(attn) is the same row u for all of them
-        u = (v @ dpool[:, :, None])[:, :, 0] / n_frames  # (B, T)
-        dv = col[:, :, None] * dpool[:, None, :]
-        ds = u[:, None, :] - attn @ u[:, :, None]  # softmax backward, in place below
-        ds *= attn
-        ds *= scale
-        dq = ds @ k
-        dk = ds.transpose(0, 2, 1) @ q
-        grads["rhythm.w_query"] += np.tensordot(dq, x, axes=([0, 1], [0, 1]))
-        grads["rhythm.w_key"] += np.tensordot(dk, x, axes=([0, 1], [0, 1]))
-        grads["rhythm.w_value"] += np.tensordot(dv, x, axes=([0, 1], [0, 1]))
-        dx = dq @ p.w_query + dk @ p.w_key + dv @ p.w_value
-        grads["rhythm.pos_table"] += dx.sum(axis=0)
-        grads["rhythm.frame_embed"] += np.tensordot(prep.rhythms, dx, axes=([0, 1], [0, 1]))
+    grads = {"genre.weight": dz_g.T @ prep.genres, "genre.bias": dz_g.sum(axis=0)}
+    for name, grad in params.rhythm.backward(prep.rhythms, trace, dslot).items():
+        grads[f"rhythm.{name}"] = grad
     return loss, grads
 
 
@@ -474,7 +423,7 @@ def train(config: TrainingConfig, dataset, dims: ModelDims = ModelDims()) -> Tra
     epoch index; the overflow on the way there raises no warning of its own.
     The frozen blocks are digest-checked before and after as a guard.
     """
-    prep = prepare_batch(dataset, dims)
+    prep = prepare_batch(dataset, dims, config.mode)
     frozen = build_frozen(dims, config.mode, config.frozen_seed)
     digests = frozen.digests()
     params = init_encoder_params(dims, config.variant, config.seed)
@@ -556,7 +505,7 @@ def gradcheck(
     frozen = build_frozen(dims, mode, np.random.default_rng([seed, 0]).integers(2**32))
     params = init_encoder_params(dims, variant, np.random.default_rng([seed, 1]).integers(2**32))
     raw = make_random_batch(dims, mode, n_samples, np.random.default_rng([seed, 2]))
-    batch = prepare_batch(raw, dims)  # validated once, not on every probe
+    batch = prepare_batch(raw, dims, mode)  # validated once, not on every probe
     _, analytic = batch_loss_and_gradients(params, frozen, batch, dims)
     block_errors = {}
     worst_index = {}
@@ -610,8 +559,8 @@ def make_teacher_student_dataset(
     rng = np.random.default_rng(seed)
     teacher = init_encoder_params(dims, variant, int(rng.integers(2**32)))
     batch = make_random_batch(dims, mode, n_samples, rng)
-    pooled, _, _, _ = _batch_forward(teacher, frozen, prepare_batch(batch, dims))
-    outputs = pooled @ frozen.generator.weights.T
+    pooled, _, _, _ = _batch_forward(teacher, frozen, prepare_batch(batch, dims, mode))
+    outputs = pooled @ frozen.weights.T
     if mode == "categorical":
         outputs = [np.array([int(np.argmax(out))]) for out in outputs]
     return [
@@ -636,7 +585,7 @@ def sample_from_json_dict(doc) -> Sample:
 
     Every number must be finite. Values (bits in [0, 1], a one-hot genre, the
     target's shape and token ids) are checked where the sample is used, by
-    prepare_batch and the loss.
+    prepare_batch.
     Integer targets keep an integer dtype, so token ids stay ids.
     """
     if not isinstance(doc, dict):

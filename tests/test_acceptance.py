@@ -172,8 +172,8 @@ def test_criterion_7_inversion_mechanism(tmp_path):
     fresh = build_frozen(dims, config.mode, config.frozen_seed)
     frozen_ok = (
         result.frozen_digests == fresh.digests()
-        and result.frozen.table.entries.tobytes() == fresh.table.entries.tobytes()
-        and result.frozen.generator.weights.tobytes() == fresh.generator.weights.tobytes()
+        and result.frozen.table.tobytes() == fresh.table.tobytes()
+        and result.frozen.weights.tobytes() == fresh.weights.tobytes()
     )
     details.append(f"frozen blocks byte-identical: {frozen_ok}")
     ok = ok and frozen_ok

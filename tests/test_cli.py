@@ -135,6 +135,23 @@ class TestEvaluate:
         assert lines[-1].startswith("summary,")
         assert len(lines) == 3
 
+    def test_csv_refuses_phase_align_and_tempo(self, tmp_path, capsys):
+        # csv has no column for the offset or the tempo difference: exit 2, not drop them
+        b = tmp_path / "b.json"
+        b.write_bytes(BeatList(times=np.array([0.5, 1.0, 1.5])).to_json())
+        tg = tmp_path / "tg.json"
+        tr = tmp_path / "tr.json"
+        tg.write_text('{"bpm": 120.0}')
+        tr.write_text('{"bpm": 118.0}')
+        tempo = ["--tempo-gen", str(tg), "--tempo-ref", str(tr)]
+        for extra in (["--phase-align"], tempo, tempo + ["--phase-align"]):
+            args = ["evaluate", "--gen", str(b), "--ref", str(b), "--format", "csv", *extra]
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "--format json" in captured.err
+
     def test_each_input_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         bits = np.zeros(120, dtype=int)
         bits[[30, 60, 90]] = 1

@@ -1,11 +1,20 @@
+import ast
+import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kinebeat import inversion
 from kinebeat.inversion import (
+    GENRE_SLOT,
+    GRADCHECK_STEP,
+    GRADCHECK_THRESHOLD,
+    PROMPT_WORDS,
+    RHYTHM_SLOT,
+    VARIANTS,
     GenreEncoderParams,
     ModelDims,
     PreparedBatch,
@@ -42,6 +51,7 @@ SMALL = ModelDims(
     embed_dim=6, hidden=5, attn_dim=4, rhythm_len=9, n_genres=3, target_dim=4, audio_vocab=5
 )
 ATTN_BLOCKS = ("frame_embed", "pos_table", "w_query", "w_key", "w_value", "w_out", "b_out")
+TOKENS = range(len(PROMPT_WORDS))  # the prompt's token ids index the table directly
 
 
 def small_batch(mode, seed=0, n=3):
@@ -65,7 +75,8 @@ def sample(bits, genre=None, target=None):
 def forward(params, samples, frozen=None):
     """(pooled, v_genre, v_rhythm) of the batched forward on SMALL samples."""
     frozen = frozen or build_frozen(SMALL, "regression", seed=1)
-    pooled, v_genre, v_rhythm, _ = _batch_forward(params, frozen, prepare_batch(samples, SMALL))
+    prep = prepare_batch(samples, SMALL, frozen.mode)
+    pooled, v_genre, v_rhythm, _ = _batch_forward(params, frozen, prep)
     return pooled, v_genre, v_rhythm
 
 
@@ -87,14 +98,13 @@ def oracle_slots(params, bits, genre):
 
 def oracle_loss(params, frozen, s):
     """Per-sample reconstruction loss, composed from the scalar oracles."""
-    tpl = frozen.template
     rows = prompt_embeddings_oracle(
-        frozen.table.entries.tolist(), tpl.tokens, tpl.genre_slot, tpl.rhythm_slot,
+        frozen.table.tolist(), TOKENS, GENRE_SLOT, RHYTHM_SLOT,
         *oracle_slots(params, s.rhythm_bits, s.genre),
     )
     pooled = mean_pool_oracle(rows)
-    weights = frozen.generator.weights.tolist()
-    if frozen.generator.mode == "regression":
+    weights = frozen.weights.tolist()
+    if frozen.mode == "regression":
         return mse_oracle(weights, pooled, np.asarray(s.target).tolist())
     return cross_entropy_oracle(weights, pooled, [int(t) for t in s.target])
 
@@ -183,11 +193,10 @@ def dense_attnpos_loss_and_gradients(blocks, prompt_rows, genre_slot, rhythm_slo
 def assert_matches_dense(params, frozen, batch, dims):
     """batch_loss_and_gradients against the dense reference: loss at rel 1e-12,
     each gradient block within 1e-12 of that block's largest magnitude."""
-    prep = prepare_batch(batch, dims)
-    tpl = frozen.template
+    prep = prepare_batch(batch, dims, frozen.mode)
     expected_loss, expected, attn = dense_attnpos_loss_and_gradients(
-        params.blocks(), frozen.table.entries[list(tpl.tokens)], tpl.genre_slot, tpl.rhythm_slot,
-        frozen.generator.weights, frozen.generator.mode, prep.genres, prep.rhythms, prep.targets,
+        params.blocks(), frozen.table, GENRE_SLOT, RHYTHM_SLOT,
+        frozen.weights, frozen.mode, prep.genres, prep.rhythms, [s.target for s in batch],
     )
     loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
     assert loss == pytest.approx(expected_loss, rel=1e-12)
@@ -201,12 +210,12 @@ class TestAssemble:
     def test_substituting_table_rows_is_identity(self):
         # slot embeddings equal to the table's own rows pool to the plain prompt mean
         frozen = build_frozen(SMALL, "regression", seed=1)
-        tpl, entries = frozen.template, frozen.table.entries
-        entries[tpl.tokens[tpl.genre_slot]] = 0.0  # tanh(0 g + 0) is exactly 0
+        entries = frozen.table
+        entries[GENRE_SLOT] = 0.0  # tanh(0 g + 0) is exactly 0
         params = zeroed(init_encoder_params(SMALL, "mlp", seed=0))
-        params.rhythm.b2[...] = entries[tpl.tokens[tpl.rhythm_slot]]
+        params.rhythm.b2[...] = entries[RHYTHM_SLOT]
         pooled, _, _ = forward(params, [sample(np.ones(SMALL.rhythm_len))], frozen)
-        expected = mean_pool_oracle(entries[list(tpl.tokens)].tolist())
+        expected = mean_pool_oracle(entries.tolist())
         np.testing.assert_allclose(pooled[0], expected, rtol=0, atol=1e-15)
 
     def test_rhythm_slot_locality(self):
@@ -220,14 +229,13 @@ class TestAssemble:
 
     def test_zero_slots_leave_other_rows_alone(self):
         frozen = build_frozen(SMALL, "regression", seed=1)
-        tpl = frozen.template
         params = zeroed(init_encoder_params(SMALL, "attnpos", seed=0))
         pooled, v_genre, v_rhythm = forward(params, [sample(np.ones(3))], frozen)
         zero = [0.0] * SMALL.embed_dim
         np.testing.assert_array_equal(v_genre[0], zero)
         np.testing.assert_array_equal(v_rhythm[0], zero)
         rows = prompt_embeddings_oracle(
-            frozen.table.entries.tolist(), tpl.tokens, tpl.genre_slot, tpl.rhythm_slot, zero, zero
+            frozen.table.tolist(), TOKENS, GENRE_SLOT, RHYTHM_SLOT, zero, zero
         )
         np.testing.assert_allclose(pooled[0], mean_pool_oracle(rows), rtol=0, atol=1e-15)
 
@@ -270,7 +278,7 @@ class TestForwards:
     def test_rhythm_input_validation_and_padding(self):
         params = init_encoder_params(SMALL, "mlp", seed=0)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            prepare_batch([sample(np.full(SMALL.rhythm_len, 2.0))], SMALL)
+            prepare_batch([sample(np.full(SMALL.rhythm_len, 2.0))], SMALL, "regression")
         _, short = slots(params, np.ones(3))
         padded = np.concatenate([np.ones(3), np.zeros(SMALL.rhythm_len - 3)])
         np.testing.assert_array_equal(short, slots(params, padded)[1])
@@ -292,7 +300,7 @@ class TestForwards:
     def test_genre_rejects_non_one_hot(self):
         for bad in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0]):
             with pytest.raises(ValueError, match="one-hot"):
-                prepare_batch([sample(np.ones(3), genre=bad)], SMALL)
+                prepare_batch([sample(np.ones(3), genre=bad)], SMALL, "regression")
 
     def test_distinct_genres_distinct_embeddings(self):
         rng = np.random.default_rng(9)
@@ -309,14 +317,14 @@ class TestReconstructionLoss:
         params = init_encoder_params(SMALL, "attnpos", seed=3)
         batch = small_batch("regression", seed=0)
         pooled, _, _ = forward(params, batch, frozen)
-        outputs = pooled @ frozen.generator.weights.T
+        outputs = pooled @ frozen.weights.T
         exact = [Sample(s.rhythm_bits, s.genre, y) for s, y in zip(batch, outputs)]
         assert batch_loss(params, frozen, exact, SMALL) == 0.0
 
     def test_uniform_logits_cross_entropy(self):
         dims = ModelDims(embed_dim=6, audio_vocab=4)
         frozen = build_frozen(dims, "categorical", seed=2)
-        frozen.generator.weights[...] = 0.0  # logits = 0 @ pooled = 0, uniform softmax
+        frozen.weights[...] = 0.0  # logits = 0 @ pooled = 0, uniform softmax
         params = init_encoder_params(dims, "mlp", seed=0)
         raw = make_random_batch(dims, "categorical", 2, np.random.default_rng(1))
         batch = [Sample(s.rhythm_bits, s.genre, np.array([1])) for s in raw]
@@ -335,6 +343,8 @@ class TestReconstructionLoss:
         params = init_encoder_params(SMALL, "mlp", seed=0)
         with pytest.raises(ValueError, match="target shape"):
             batch_loss(params, frozen, [sample(np.ones(3), target=np.zeros(3))], SMALL)
+        with pytest.raises(ValueError, match="target shape"):
+            prepare_batch([sample(np.ones(3), target=np.zeros(3))], SMALL, "regression")
 
     def test_categorical_target_ids(self):
         frozen = build_frozen(SMALL, "categorical", seed=3)
@@ -346,7 +356,46 @@ class TestReconstructionLoss:
         for bad in ([], [1.7], [-1], [SMALL.audio_vocab], [float("nan")]):
             with pytest.raises(ValueError, match="nonempty list of integers"):
                 loss(bad)
+            with pytest.raises(ValueError, match="nonempty list of integers"):
+                prepare_batch([sample(np.ones(3), target=np.asarray(bad))], SMALL, "categorical")
         assert loss([1.0]) == loss([1])
+
+    def test_prepared_batch_keeps_its_mode(self):
+        # with target_dim == audio_vocab, regression targets have the shape of
+        # categorical id weights, so only the recorded mode tells them apart
+        dims = dataclasses.replace(SMALL, target_dim=SMALL.audio_vocab)
+        raw = make_random_batch(dims, "regression", 2, np.random.default_rng(0))
+        prep = prepare_batch(raw, dims, "regression")
+        assert prepare_batch(prep, dims, "regression") is prep
+        frozen = build_frozen(dims, "categorical", seed=3)
+        params = init_encoder_params(dims, "mlp", seed=0)
+        for fn in (batch_loss, batch_loss_and_gradients):
+            with pytest.raises(ValueError, match="prepared for 'regression', not 'categorical'"):
+                fn(params, frozen, prep, dims)
+
+    @pytest.mark.parametrize("variant", ["mlp", "attnpos"])
+    def test_multi_id_categorical_targets(self, variant):
+        # each sample scores the mean cross-entropy over its listed ids; a repeated id counts twice
+        frozen = build_frozen(SMALL, "categorical", seed=8)
+        params = init_encoder_params(SMALL, variant, seed=9)
+        raw = small_batch("categorical", seed=10)
+        targets = ([1, 1, 3], [0, 4], [2])
+        batch = [Sample(s.rhythm_bits, s.genre, np.array(t)) for s, t in zip(raw, targets)]
+        expected = sum(oracle_loss(params, frozen, s) for s in batch) / len(batch)
+        assert batch_loss(params, frozen, batch, SMALL) == pytest.approx(expected, rel=1e-12)
+        _, analytic = batch_loss_and_gradients(params, frozen, batch, SMALL)
+        for name, block in params.blocks().items():
+            flat = block.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + GRADCHECK_STEP
+                up = batch_loss(params, frozen, batch, SMALL)
+                flat[i] = keep - GRADCHECK_STEP
+                down = batch_loss(params, frozen, batch, SMALL)
+                flat[i] = keep
+                fd = (up - down) / (2.0 * GRADCHECK_STEP)
+                a = analytic[name].reshape(-1)[i]
+                assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) < GRADCHECK_THRESHOLD, (name, i)
 
 
 class TestGradients:
@@ -367,7 +416,7 @@ class TestGradients:
         params = init_encoder_params(SMALL, "mlp", seed=5)
         raw = small_batch("regression", seed=6)
         pooled, _, _ = forward(params, raw, frozen)
-        outputs = pooled @ frozen.generator.weights.T
+        outputs = pooled @ frozen.weights.T
         batch = [Sample(s.rhythm_bits, s.genre, y) for s, y in zip(raw, outputs)]
         loss, grads = batch_loss_and_gradients(params, frozen, batch, SMALL)
         assert loss <= 1e-30
@@ -415,7 +464,8 @@ class TestGradients:
         dims = ModelDims()
         frozen = build_frozen(dims, "categorical", seed=1)
         params = init_encoder_params(dims, "attnpos", seed=2)
-        batch = prepare_batch(make_random_batch(dims, "categorical", 16, np.random.default_rng(3)), dims)
+        raw = make_random_batch(dims, "categorical", 16, np.random.default_rng(3))
+        batch = prepare_batch(raw, dims, "categorical")
         attn_bytes = 16 * dims.rhythm_len ** 2 * 8
 
         def peak(fn):
@@ -452,6 +502,20 @@ class TestGradients:
             assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) == report.block_errors[name], name
 
 
+class TestSingleDispatch:
+    def test_no_comparison_names_a_variant(self):
+        """The projector is chosen once, through PROJECTORS: no branch tests a variant name."""
+        tree = ast.parse(Path(inversion.__file__).read_text(encoding="utf-8"))
+        branches = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators)
+            if any(isinstance(c, ast.Constant) and c.value in VARIANTS for c in ast.walk(operand))
+        ]
+        assert branches == []
+
+
 class TestTraining:
     def test_zero_learning_rate_constant_history(self):
         ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=1, frozen_seed=2)
@@ -477,8 +541,8 @@ class TestTraining:
         before = build_frozen(SMALL, "regression", 2)
         result = train(cfg, ds, SMALL)
         assert result.frozen_digests == before.digests()
-        assert result.frozen.table.entries.tobytes() == before.table.entries.tobytes()
-        assert result.frozen.generator.weights.tobytes() == before.generator.weights.tobytes()
+        assert result.frozen.table.tobytes() == before.table.tobytes()
+        assert result.frozen.weights.tobytes() == before.weights.tobytes()
 
     def test_teacher_student_reduction_at_documented_defaults(self):
         dims = ModelDims()
@@ -508,10 +572,10 @@ class TestTraining:
         prepared = []
         original = inversion.prepare_batch
 
-        def counting(batch, dims=ModelDims()):
+        def counting(batch, dims, mode):
             if not isinstance(batch, PreparedBatch):
                 prepared.append(len(batch))
-            return original(batch, dims)
+            return original(batch, dims, mode)
 
         monkeypatch.setattr(inversion, "prepare_batch", counting)
         ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=3, frozen_seed=2)
