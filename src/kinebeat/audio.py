@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import load_json, number_array, positive_number
+from .pose import finite_array, load_json, number_array, positive_number
 from .rhythm import RhythmSequence, peak_half_window, windowed_peaks
 
 DEFAULT_STFT_WINDOW = 1024
@@ -51,15 +51,14 @@ class AudioClip:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.sample_rate, (int, np.integer)) and self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        samples = np.asarray(self.samples, dtype=np.float64)
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not (isinstance(rate, (int, np.integer)) and rate > 0):
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sample_rate", int(rate))
+        samples = finite_array(self.samples, "samples", 1)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or len(samples) < 1:
+        if len(samples) < 1:
             raise ValueError("samples must be a non-empty mono vector")
-        if not np.isfinite(samples).all():
-            raise ValueError("samples must be finite")
 
     @property
     def duration(self) -> float:
@@ -74,15 +73,9 @@ class OnsetEnvelope:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0):
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate!r}")
-        object.__setattr__(self, "frame_rate", float(self.frame_rate))
-        values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "frame_rate", positive_number(self.frame_rate, "frame_rate"))
+        values = finite_array(self.values, "envelope values", 1, nonnegative=True)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ValueError("envelope must be a vector")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("envelope values must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -92,14 +85,8 @@ class BeatList:
     times: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
+        times = finite_array(self.times, "beat times", 1, nonnegative=True)
         object.__setattr__(self, "times", times)
-        if times.ndim != 1:
-            raise ValueError("beat times must be a vector")
-        if len(times) and not np.isfinite(times).all():
-            raise ValueError("beat times must be finite")
-        if len(times) and times[0] < 0:
-            raise ValueError("beat times must be nonnegative")
         if len(times) > 1 and not (np.diff(times) > 0).all():
             raise ValueError("beat times must be strictly ascending")
 

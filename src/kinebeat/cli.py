@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import audio, inversion, metrics, pose, rhythm
 
 ENV_SEED = "KINEBEAT_SEED"
@@ -167,9 +169,11 @@ def _cmd_train_toy(args) -> int:
     for path in files:
         data = _read_file(str(path))
         try:
-            dataset.append(inversion.sample_from_json_dict(pose.load_json(data, "malformed JSON")))
+            sample = inversion.sample_from_json_dict(pose.load_json(data, "malformed JSON"))
+            inversion.prepare_batch([sample], inversion.ModelDims(), args.mode)
         except ValueError as exc:  # malformed UTF-8 or JSON, or a bad sample
             raise ValueError(f"{path}: {exc}") from exc
+        dataset.append(sample)
     config = inversion.TrainingConfig(
         variant=args.variant,
         mode=args.mode,
@@ -200,34 +204,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinematic rhythm extraction, musical beat detection, and alignment metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rc, tc = rhythm.RhythmConfig(), inversion.TrainingConfig()
+
+    wav = argparse.ArgumentParser(add_help=False)
+    wav.add_argument("--audio", required=True, help="WAV file (PCM16 or float32, 1-2 channels)")
+    wav.add_argument("--stft-window", type=int, default=audio.DEFAULT_STFT_WINDOW,
+                     help="STFT window in samples (default %(default)s)")
+    wav.add_argument("--stft-hop", type=int, default=audio.DEFAULT_STFT_HOP,
+                     help="STFT hop in samples (default %(default)s)")
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--variant", choices=inversion.VARIANTS, default=tc.variant,
+                       help="rhythm projector (default %(default)s)")
+    model.add_argument("--mode", choices=inversion.MODES, default=tc.mode,
+                       help="toy generator objective (default %(default)s)")
+    model.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED} or 0)")
 
     p = sub.add_parser("extract-rhythm", help="pose JSON -> kinematic rhythm JSON file(s)")
     p.add_argument("--poses", required=True, help="keypoint JSON file")
-    p.add_argument("--bins", type=int, default=rhythm.DEFAULT_BINS, help="direction bins (default 8)")
-    p.add_argument("--window", type=float, default=rhythm.DEFAULT_WINDOW_SECONDS,
-                   help="local-maximum window in seconds (default 0.3)")
-    p.add_argument("--min-value", type=float, default=0.0,
-                   help="absolute acceleration floor for beats (default 0)")
-    p.add_argument("--min-rel", type=float, default=rhythm.DEFAULT_MIN_REL,
-                   help="beat floor as a fraction of the acceleration maximum (default 0.05)")
-    p.add_argument("--conf-threshold", type=float, default=pose.DEFAULT_CONFIDENCE_THRESHOLD,
-                   help="keypoint confidence repair threshold, 0 disables (default 0.3)")
+    p.add_argument("--bins", type=int, default=rc.bins, help="direction bins (default %(default)s)")
+    p.add_argument("--window", type=float, default=rc.window,
+                   help="local-maximum window in seconds (default %(default)s)")
+    p.add_argument("--min-value", type=float, default=rc.min_value,
+                   help="absolute acceleration floor for beats (default %(default)s)")
+    p.add_argument("--min-rel", type=float, default=rc.min_rel,
+                   help="beat floor relative to the acceleration maximum (default %(default)s)")
+    p.add_argument("--conf-threshold", type=float, default=rc.confidence_threshold,
+                   help="keypoint confidence repair threshold, 0 disables (default %(default)s)")
     p.add_argument("--clip", default=str(pose.DEFAULT_CLIP_SECONDS),
-                   help='clip duration in seconds, or "none" for the whole sequence (default 5.12)')
+                   help='clip duration (s), or "none" for the whole sequence (default %(default)s)')
     p.add_argument("--output", help="output path; clips get a _clipNNN suffix")
     p.set_defaults(func=_cmd_extract_rhythm)
 
-    p = sub.add_parser("detect-beats", help="WAV -> musical beats JSON")
-    p.add_argument("--audio", required=True, help="WAV file (PCM16 or float32, 1-2 channels)")
-    p.add_argument("--peak-window", dest="peak_window", type=float,
-                   default=audio.DEFAULT_PEAK_WINDOW_SECONDS,
-                   help="peak-picking window in seconds (default 0.3)")
+    p = sub.add_parser("detect-beats", parents=[wav], help="WAV -> musical beats JSON")
+    p.add_argument("--peak-window", type=float, default=audio.DEFAULT_PEAK_WINDOW_SECONDS,
+                   help="peak-picking window in seconds (default %(default)s)")
     p.add_argument("--delta", type=float, default=audio.DEFAULT_PEAK_DELTA,
-                   help="adaptive threshold in envelope standard deviations (default 0.1)")
-    p.add_argument("--stft-window", type=int, default=audio.DEFAULT_STFT_WINDOW,
-                   help="STFT window in samples (default 1024)")
-    p.add_argument("--stft-hop", type=int, default=audio.DEFAULT_STFT_HOP,
-                   help="STFT hop in samples (default 256)")
+                   help="adaptive threshold in envelope standard deviations (default %(default)s)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_detect_beats)
 
@@ -235,43 +248,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", required=True, nargs="+", help="generated beats/rhythm JSON file(s)")
     p.add_argument("--ref", required=True, nargs="+", help="reference beats/rhythm JSON file(s)")
     p.add_argument("--tolerance", type=float, default=metrics.DEFAULT_TOLERANCE_SECONDS,
-                   help="alignment tolerance in seconds (default 0.2)")
+                   help="alignment tolerance in seconds (default %(default)s)")
     p.add_argument("--phase-align", action="store_true",
                    help="also search a global offset maximizing F1")
     p.add_argument("--tempo-gen", help="tempo JSON for the generated side")
     p.add_argument("--tempo-ref", help="tempo JSON for the reference side")
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv has per-clip and summary rows, no offsets or tempo (default json)")
+                   help="csv: per-clip and summary rows, no offsets or tempo (default %(default)s)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("tempo", help="WAV -> tempo JSON")
-    p.add_argument("--audio", required=True, help="WAV file")
-    p.add_argument("--bpm-min", type=float, default=audio.DEFAULT_BPM_MIN)
-    p.add_argument("--bpm-max", type=float, default=audio.DEFAULT_BPM_MAX)
-    p.add_argument("--stft-window", type=int, default=audio.DEFAULT_STFT_WINDOW)
-    p.add_argument("--stft-hop", type=int, default=audio.DEFAULT_STFT_HOP)
+    p = sub.add_parser("tempo", parents=[wav], help="WAV -> tempo JSON")
+    p.add_argument("--bpm-min", type=float, default=audio.DEFAULT_BPM_MIN,
+                   help="slowest candidate tempo in BPM (default %(default)s)")
+    p.add_argument("--bpm-max", type=float, default=audio.DEFAULT_BPM_MAX,
+                   help="fastest candidate tempo in BPM (default %(default)s)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_tempo)
 
-    p = sub.add_parser("train-toy", help="train the toy inversion encoders")
+    p = sub.add_parser("train-toy", parents=[model], help="train the toy inversion encoders")
     p.add_argument("--data", required=True, help="directory of *.json training samples")
-    p.add_argument("--variant", choices=inversion.VARIANTS, default="mlp")
-    p.add_argument("--mode", choices=inversion.MODES, default="regression")
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${ENV_SEED} or 0)")
-    p.add_argument("--frozen-seed", type=int, default=1001,
-                   help="seed of the frozen table/generator (default 1001)")
+    p.add_argument("--lr", type=float, default=tc.learning_rate,
+                   help="gradient-descent learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=tc.epochs,
+                   help="full-batch gradient steps (default %(default)s)")
+    p.add_argument("--frozen-seed", type=int, default=tc.frozen_seed,
+                   help="seed of the frozen table/generator (default %(default)s)")
     p.add_argument("--output", help="checkpoint path (default: checkpoint.json)")
     p.set_defaults(func=_cmd_train_toy)
 
-    p = sub.add_parser("gradcheck", help="verify encoder gradients by finite differences")
-    p.add_argument("--variant", choices=inversion.VARIANTS, default="mlp")
-    p.add_argument("--mode", choices=inversion.MODES, default="regression")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${ENV_SEED} or 0)")
+    p = sub.add_parser("gradcheck", parents=[model],
+                       help="verify encoder gradients by finite differences")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -282,7 +289,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the data types refuse a non-finite result themselves
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

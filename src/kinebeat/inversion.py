@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .pose import load_json, number_array
+from .pose import finite_array, load_json, number_array, positive_number
 
 PROMPT_WORDS = ("a", "@", "music", "with", "*", "as", "the", "rhythm")
 GENRE_SLOT = PROMPT_WORDS.index("@")
@@ -277,8 +277,8 @@ def init_encoder_params(dims: ModelDims, variant: str, seed: int) -> EncoderPara
 
 def _fit_length(bits, length: int) -> np.ndarray:
     """Validate rhythm input values and pad with zeros / truncate at the tail."""
-    v = np.asarray(bits, dtype=np.float64).reshape(-1)
-    if not np.isfinite(v).all() or (v < 0).any() or (v > 1).any():
+    v = finite_array(np.ravel(bits), "rhythm input values", 1)
+    if (v < 0).any() or (v > 1).any():
         raise ValueError("rhythm input values must lie in [0, 1]")
     if len(v) > length:
         return v[:length].copy()
@@ -498,8 +498,6 @@ def gradcheck(
     seed: int = 0,
     dims: ModelDims = ModelDims(),
     n_samples: int = 3,
-    step: float = GRADCHECK_STEP,
-    threshold: float = GRADCHECK_THRESHOLD,
 ) -> GradCheckReport:
     """Compare analytic encoder gradients against central finite differences."""
     frozen = build_frozen(dims, mode, np.random.default_rng([seed, 0]).integers(2**32))
@@ -515,12 +513,12 @@ def gradcheck(
         worst_index[name] = 0
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + GRADCHECK_STEP
             up = batch_loss(params, frozen, batch, dims)
-            flat[i] = keep - step
+            flat[i] = keep - GRADCHECK_STEP
             down = batch_loss(params, frozen, batch, dims)
             flat[i] = keep
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * GRADCHECK_STEP)
             a = analytic[name].reshape(-1)[i]
             err = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
             if err > worst:
@@ -532,12 +530,12 @@ def gradcheck(
         variant=variant,
         mode=mode,
         seed=int(seed),
-        step=step,
-        threshold=threshold,
+        step=GRADCHECK_STEP,
+        threshold=GRADCHECK_THRESHOLD,
         block_errors=block_errors,
         worst_index=worst_index,
         max_error=max_error,
-        passed=bool(max_error < threshold),
+        passed=bool(max_error < GRADCHECK_THRESHOLD),
     )
 
 
@@ -583,9 +581,9 @@ def sample_json_dict(sample: Sample, fps: float = 60.0) -> dict:
 def sample_from_json_dict(doc) -> Sample:
     """Inverse of sample_json_dict: checks the types and structure of one sample.
 
-    Every number must be finite. Values (bits in [0, 1], a one-hot genre, the
-    target's shape and token ids) are checked where the sample is used, by
-    prepare_batch.
+    Every number must be finite, and "rhythm.fps", where given, positive.
+    Values (bits in [0, 1], a one-hot genre, the target's shape and token ids)
+    are checked where the sample is used, by prepare_batch.
     Integer targets keep an integer dtype, so token ids stay ids.
     """
     if not isinstance(doc, dict):
@@ -593,6 +591,8 @@ def sample_from_json_dict(doc) -> Sample:
     rhythm = doc.get("rhythm")
     if not isinstance(rhythm, dict):
         raise ValueError('sample needs a "rhythm" object with a "bits" list')
+    if "fps" in rhythm:
+        positive_number(rhythm["fps"], '"rhythm.fps"')
     target = doc.get("target")
     integral = isinstance(target, list) and all(type(t) is int for t in target)
     return Sample(

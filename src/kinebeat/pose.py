@@ -5,8 +5,8 @@ Keypoint files are JSON: ``{"fps": <number>, "frames": [[[x, y, confidence],
 [0, 1]. The COCO 17-joint ordering is the documented convention, but the
 joint count is not hard-coded.
 
-This module is also the JSON boundary of every reader: load_json decodes a
-document, and json_number, positive_number and number_array check its values.
+This module is also the value boundary: load_json decodes a document, json_number,
+positive_number and number_array check its values, and finite_array a data type's arrays.
 """
 
 from __future__ import annotations
@@ -43,19 +43,26 @@ def positive_number(value, what: str) -> float:
     return number
 
 
+def finite_array(value, what: str, ndim: int, nonnegative=False, dtype=np.float64) -> np.ndarray:
+    """value as a finite array of dtype with ndim axes, >= 0 if nonnegative; else ValueError."""
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    if array.ndim != ndim:
+        raise ValueError(f"{what} must have {ndim} axes, got shape {array.shape}")
+    if not np.isfinite(array).all() or (nonnegative and (array < 0).any()):
+        raise ValueError(f"{what} must be finite{' and nonnegative' if nonnegative else ''}")
+    return array
+
+
 def number_array(value, what: str, dtype=np.float64) -> np.ndarray:
     """value, a JSON list of numbers (no bools), as a finite array of dtype; else ValueError."""
     if not isinstance(value, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
     ):
         raise ValueError(f"{what} must be a list of numbers")
-    try:
-        array = np.asarray(value, dtype=dtype)
-    except OverflowError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-    if not np.isfinite(array).all():  # the NaN and Infinity literals Python's json accepts
-        raise ValueError(f"{what} must be finite")
-    return array
+    return finite_array(value, what, 1, dtype=dtype)
 
 
 def load_json(data: bytes, what: str, parse_constant=None):
@@ -122,8 +129,7 @@ class ClipSpec:
     duration: float = DEFAULT_CLIP_SECONDS
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"clip duration must be positive, got {self.duration!r}")
+        object.__setattr__(self, "duration", positive_number(self.duration, "clip duration"))
 
     def frames_at(self, fps: float) -> int:
         frames = self.duration * fps

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import PoseSequence, interpolate_low_confidence, load_json, number_array, positive_number
+from .pose import DEFAULT_CONFIDENCE_THRESHOLD, PoseSequence, finite_array, load_json, number_array
+from .pose import interpolate_low_confidence, positive_number
 
 DEFAULT_BINS = 8
 DEFAULT_WINDOW_SECONDS = 0.3
@@ -44,12 +45,10 @@ class VelocityField:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = np.asarray(self.values, dtype=np.float64)
+        values = finite_array(self.values, "velocity values", 3)
         object.__setattr__(self, "values", values)
-        if values.ndim != 3 or values.shape[2] != 2:
+        if values.shape[2] != 2:
             raise ValueError(f"velocity values must have shape (T-1, J, 2), got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("velocity values must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,14 +68,12 @@ class DirectionalVelocity:
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
         if self.bins < 2:
             raise ValueError(f"need at least 2 direction bins, got {self.bins}")
-        speed = np.asarray(self.speed, dtype=np.float64)
+        speed = finite_array(self.speed, "speeds", 2, nonnegative=True)
         index = np.asarray(self.bin)
         object.__setattr__(self, "speed", speed)
         object.__setattr__(self, "bin", index)
-        if speed.ndim != 2 or index.shape != speed.shape:
+        if index.shape != speed.shape:
             raise ValueError(f"speed and bin need one (T-1, J) shape, got {speed.shape}, {index.shape}")
-        if not np.isfinite(speed).all() or (speed < 0).any():
-            raise ValueError("speeds must be finite and nonnegative")
         valid = np.where(speed > 0.0, (index >= 0) & (index < self.bins), index == -1)
         if index.dtype.kind != "i" or not valid.all():
             raise ValueError(f"bin must be in [0, {self.bins}) where speed > 0, and -1 where it is 0")
@@ -98,12 +95,8 @@ class DiscreteAcceleration:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = np.asarray(self.values, dtype=np.float64)
+        values = finite_array(self.values, "rectified accelerations", 2, nonnegative=True)
         object.__setattr__(self, "values", values)
-        if values.ndim != 2:
-            raise ValueError(f"values must have shape (T-2, J), got {values.shape}")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("rectified accelerations must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -115,12 +108,8 @@ class TotalAcceleration:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = np.asarray(self.values, dtype=np.float64)
+        values = finite_array(self.values, "total acceleration", 1, nonnegative=True)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ValueError(f"values must be a vector, got shape {values.shape}")
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("total acceleration must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ class RhythmConfig:
     window: float = DEFAULT_WINDOW_SECONDS
     min_value: float = 0.0
     min_rel: float = DEFAULT_MIN_REL
-    confidence_threshold: float = 0.3
+    confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 
 
 def compute_velocity(seq: PoseSequence) -> VelocityField:

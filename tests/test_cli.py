@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from kinebeat.audio import BeatList, onset_envelope, read_wav
-from kinebeat.cli import main
+from kinebeat.cli import build_parser, main
 from kinebeat.inversion import ModelDims, make_teacher_student_dataset, sample_json_dict
 from kinebeat.pose import PoseSequence, serialize_pose_file
 from kinebeat.rhythm import RhythmSequence
@@ -269,6 +270,12 @@ class TestTrainToy:
         pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": %(genre)s}', id="no-target"),
         pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": %(genre)s, "target": ["a"]}',
                      id="target-string"),
+        pytest.param('{"rhythm": {"bits": [0, 3]}, "genre": %(genre)s, "target": [0.5]}',
+                     id="bit-above-one"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": [2, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+                     '"target": [0.5]}', id="genre-not-one-hot"),
+        pytest.param('{"rhythm": {"bits": [0, 1]}, "genre": %(genre)s, "target": [0.5]}',
+                     id="target-wrong-width"),
     ])
     def test_malformed_sample_exits_2(self, tmp_path, capsys, text):
         data = tmp_path / "data"
@@ -280,6 +287,27 @@ class TestTrainToy:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert "s.json" in err
+
+    @pytest.mark.parametrize("fps", ['"abc"', "-1", "true", "0", "NaN"])
+    def test_bad_rhythm_fps_exits_2(self, tmp_path, capsys, fps):
+        """A sample's "rhythm.fps" is optional, but where given it is a positive number."""
+        data = tmp_path / "data"
+        write_dataset(data, n=2)
+        path = data / "sample001.json"
+        doc = json.loads(path.read_text())
+        del doc["rhythm"]["fps"]
+        path.write_text(json.dumps(doc))  # a sample without "fps" stays valid
+        args = ["train-toy", "--data", str(data), "--epochs", "1",
+                "--output", str(tmp_path / "ckpt.json")]
+        assert main(args) == 0
+        capsys.readouterr()
+        doc["rhythm"]["fps"] = "#"
+        path.write_text(json.dumps(doc).replace('"#"', fps))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sample001.json" in err and '"rhythm.fps"' in err
 
     @pytest.mark.parametrize("target", [[], [1.7]])
     def test_bad_token_ids_exit_2(self, tmp_path, capsys, target):
@@ -421,7 +449,13 @@ class TestBadJsonNumbers:
         pytest.param("tempo", '{"bpm": [1]}', id="bpm-list"),
         pytest.param("tempo", '{"bpm": null}', id="bpm-null"),
         pytest.param("tempo", '{"bpm": "120"}', id="bpm-string"),
+        pytest.param("poses", '{"fps": 1, "frames": [[[1e200, 0, 1]]%s]}' % (", [[0, 0, 1]]" * 4),
+                     id="pose-speed-overflow"),
+        pytest.param("poses", '{"fps": 1, "frames": [[[1e308, 0, 1]], [[-1e308, 0, 1]]%s]}'
+                     % (", [[0, 0, 1]]" * 3), id="pose-velocity-overflow"),
+        pytest.param("beats", '{"fps": 1e-320, "bits": [0, 0, 1]}', id="rhythm-beat-time-overflow"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2(self, tmp_path, capsys, kind, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -493,3 +527,25 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--variant", "mlp", "--mode", "regression"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 123
+
+
+class TestParser:
+    @staticmethod
+    def options():
+        """(command, action) for every option of every subcommand except -h."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [(name, action) for name, command in sub.choices.items()
+                for action in command._actions if not isinstance(action, argparse._HelpAction)]
+
+    def test_every_option_has_help(self):
+        missing = [(name, action.option_strings) for name, action in self.options() if not action.help]
+        assert missing == []
+
+    def test_no_default_is_a_literal_in_help(self):
+        """A default is stated only through %(default)s, so the help cannot drift from it."""
+        for name, action in self.options():
+            if action.default is None or action.default is False:  # no value to restate
+                continue
+            assert "%(default)s" in action.help, (name, action.option_strings)
+            assert str(action.default) not in action.help, (name, action.option_strings)

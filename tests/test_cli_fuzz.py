@@ -58,6 +58,7 @@ DOCUMENTS = {
         '{"rhythm": {"fps": 60, "bits": [0, 0, #]}, "genre": %s, "target": [0.5]}' % GENRE,
         '{"rhythm": {"fps": 60, "bits": [0, 0, 1]}, "genre": [#, 1], "target": [0.5]}',
         '{"rhythm": {"fps": 60, "bits": [0, 0, 1]}, "genre": %s, "target": [0.5, #]}' % GENRE,
+        SAMPLE.replace('{"fps": 60.0,', '{"fps": #,', 1),  # otherwise valid, so only fps can fail
     ]),
 }
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinebeat
+from kinebeat.audio import AudioClip, OnsetEnvelope
 from kinebeat.pose import (
     ClipSpec,
     PoseSequence,
@@ -93,6 +94,27 @@ class TestParse:
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
         assert loads == [("pose.py", "load_json")]
         assert set(decode_errors) == {"pose.py"}
+
+    def test_isfinite_only_in_pose(self):
+        """np.isfinite is called only in pose.py: every data type checks its arrays there."""
+        calls = []
+        for path in sorted(Path(kinebeat.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "isfinite":
+                    if isinstance(node.value, ast.Name) and node.value.id == "np":
+                        calls.append(path.name)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                    assert "isfinite" not in {alias.name for alias in node.names}, path.name
+        assert set(calls) == {"pose.py"}
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: OnsetEnvelope(True, np.zeros(4)), id="OnsetEnvelope"),
+        pytest.param(lambda: ClipSpec(True), id="ClipSpec"),
+        pytest.param(lambda: AudioClip(True, np.zeros(4)), id="AudioClip"),
+    ])
+    def test_bool_rate_refused(self, make):
+        with pytest.raises(ValueError, match="rate|duration"):
+            make()
 
     def test_bad_fps(self, rng):
         frames = random_pose_frames(rng, 5, 2)
