@@ -23,11 +23,12 @@ from . import audio, inversion, metrics, pose, rhythm
 ENV_SEED = "KINEBEAT_SEED"
 
 
-def _fallback_seed(value) -> int:
-    if value is not None:
-        return int(value)
+def _fallback_seed(args) -> int:
+    """--seed, else $KINEBEAT_SEED, else the command's library default."""
+    if args.seed is not None:
+        return int(args.seed)
     env = os.environ.get(ENV_SEED)
-    return int(env) if env is not None else 0
+    return int(env) if env is not None else args.library_seed
 
 
 def _read_file(path: str) -> bytes:
@@ -179,7 +180,7 @@ def _cmd_train_toy(args) -> int:
         mode=args.mode,
         learning_rate=args.lr,
         epochs=args.epochs,
-        seed=_fallback_seed(args.seed),
+        seed=_fallback_seed(args),
         frozen_seed=args.frozen_seed,
     )
     result = inversion.train(config, dataset)
@@ -193,7 +194,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = inversion.gradcheck(args.variant, args.mode, seed=_fallback_seed(args.seed))
+    report = inversion.gradcheck(args.variant, args.mode, seed=_fallback_seed(args))
     _write_output(json.dumps(report.to_json_dict(), indent=2), args.output)
     return 0 if report.passed else 1
 
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rhythm projector (default %(default)s)")
     model.add_argument("--mode", choices=inversion.MODES, default=tc.mode,
                        help="toy generator objective (default %(default)s)")
-    model.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED} or 0)")
+    model.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED}, else "
+                       f"{tc.seed} for train-toy and {inversion.GRADCHECK_SEED} for gradcheck)")
 
     p = sub.add_parser("extract-rhythm", help="pose JSON -> kinematic rhythm JSON file(s)")
     p.add_argument("--poses", required=True, help="keypoint JSON file")
@@ -275,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen-seed", type=int, default=tc.frozen_seed,
                    help="seed of the frozen table/generator (default %(default)s)")
     p.add_argument("--output", help="checkpoint path (default: checkpoint.json)")
-    p.set_defaults(func=_cmd_train_toy)
+    p.set_defaults(func=_cmd_train_toy, library_seed=tc.seed)
 
     p = sub.add_parser("gradcheck", parents=[model],
                        help="verify encoder gradients by finite differences")
     p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gradcheck)
+    p.set_defaults(func=_cmd_gradcheck, library_seed=inversion.GRADCHECK_SEED)
 
     return parser
 

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 
 from kinebeat.audio import BeatList, onset_envelope, read_wav
 from kinebeat.cli import build_parser, main
-from kinebeat.inversion import ModelDims, make_teacher_student_dataset, sample_json_dict
+from kinebeat.inversion import (
+    ModelDims,
+    TrainingConfig,
+    gradcheck,
+    make_teacher_student_dataset,
+    sample_json_dict,
+)
 from kinebeat.pose import PoseSequence, serialize_pose_file
 from kinebeat.rhythm import RhythmSequence
 
@@ -246,6 +253,14 @@ class TestTrainToy:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_defaults_to_the_training_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("KINEBEAT_SEED", raising=False)
+        data = tmp_path / "data"
+        write_dataset(data, n=2)
+        out = tmp_path / "ckpt.json"
+        assert main(["train-toy", "--data", str(data), "--epochs", "1", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == TrainingConfig().seed
 
     def test_empty_dir_exits_2(self, tmp_path):
         data = tmp_path / "data"
@@ -527,6 +542,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--variant", "mlp", "--mode", "regression"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 123
+
+    def test_seed_defaults_to_the_library(self, monkeypatch, capsys):
+        monkeypatch.delenv("KINEBEAT_SEED", raising=False)
+        assert main(["gradcheck", "--variant", "mlp", "--mode", "regression"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["seed"] == inspect.signature(gradcheck).parameters["seed"].default
 
 
 class TestParser:

@@ -206,6 +206,73 @@ def assert_matches_dense(params, frozen, batch, dims):
     return attn
 
 
+def batched_attnpos_loss_and_gradients(blocks, prompt_rows, genre_slot, rhythm_slot, gen_weights, mode,
+                                       genres, rhythms, target_rows):
+    """The attnpos loss and gradients as computed before the attention was
+    blocked per sample: every softmax and backward pass runs over the whole
+    (B, T, T) buffer at once. Plain arrays in and out; blocks maps the nine
+    parameter names to arrays, and target_rows are the prepared (B, m)
+    regression targets or (B, V) token-id weights."""
+    n_tokens = len(prompt_rows)
+    v_genre = np.tanh(genres @ blocks["genre.weight"].T + blocks["genre.bias"])
+    fe, pos = blocks["rhythm.frame_embed"], blocks["rhythm.pos_table"]
+    wq, wk, wv = blocks["rhythm.w_query"], blocks["rhythm.w_key"], blocks["rhythm.w_value"]
+    w_out, b_out = blocks["rhythm.w_out"], blocks["rhythm.b_out"]
+    x = rhythms[:, :, None] * fe + pos  # (B, T, d')
+    q = x @ wq.T
+    k = x @ wk.T
+    v = x @ wv.T
+    scale = 1.0 / math.sqrt(fe.shape[0])
+    attn = q @ k.transpose(0, 2, 1)
+    attn *= scale
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    col = attn.mean(axis=1)  # (B, T)
+    pool = (col[:, None, :] @ v)[:, 0]
+    v_rhythm = pool @ w_out.T + b_out
+    rows = prompt_rows.copy()
+    rows[genre_slot] = 0.0
+    rows[rhythm_slot] = 0.0
+    pooled = (rows.sum(axis=0) + v_genre + v_rhythm) / n_tokens
+
+    n = pooled.shape[0]
+    out = pooled @ gen_weights.T
+    if mode == "regression":
+        diff = out - target_rows
+        m = diff.shape[1]
+        loss = float((diff * diff).sum() / (n * m))
+        dpooled = (2.0 / (n * m)) * diff @ gen_weights
+    else:
+        logz = out.max(axis=1) + np.log(np.exp(out - out.max(axis=1, keepdims=True)).sum(axis=1))
+        p = np.exp(out - logz[:, None])
+        loss = float((logz - (target_rows * out).sum(axis=1)).mean())
+        dpooled = ((p - target_rows) / n) @ gen_weights
+
+    dslot = dpooled / n_tokens
+    dz_g = dslot * (1.0 - v_genre * v_genre)
+    dpool = dslot @ w_out  # (B, d')
+    u = (v @ dpool[:, :, None])[:, :, 0] / x.shape[1]  # (B, T)
+    dv = col[:, :, None] * dpool[:, None, :]
+    ds = u[:, None, :] - attn @ u[:, :, None]
+    ds *= attn
+    ds *= scale
+    dq = ds @ k
+    dk = ds.transpose(0, 2, 1) @ q
+    dx = dq @ wq + dk @ wk + dv @ wv
+    return loss, {
+        "genre.weight": dz_g.T @ genres,
+        "genre.bias": dz_g.sum(axis=0),
+        "rhythm.frame_embed": np.tensordot(rhythms, dx, axes=([0, 1], [0, 1])),
+        "rhythm.pos_table": dx.sum(axis=0),
+        "rhythm.w_query": np.tensordot(dq, x, axes=([0, 1], [0, 1])),
+        "rhythm.w_key": np.tensordot(dk, x, axes=([0, 1], [0, 1])),
+        "rhythm.w_value": np.tensordot(dv, x, axes=([0, 1], [0, 1])),
+        "rhythm.w_out": dslot.T @ pool,
+        "rhythm.b_out": dslot.sum(axis=0),
+    }
+
+
 class TestAssemble:
     def test_substituting_table_rows_is_identity(self):
         # slot embeddings equal to the table's own rows pool to the plain prompt mean
@@ -444,6 +511,25 @@ class TestGradients:
         batch = make_random_batch(dims, mode, n_samples, np.random.default_rng(n_samples))
         assert_matches_dense(params, frozen, batch, dims)
 
+    @pytest.mark.parametrize("mode", ["regression", "categorical"])
+    @pytest.mark.parametrize("n_samples", [1, 3, 16])
+    @pytest.mark.parametrize("dims", [ModelDims(), SMALL], ids=["default", "small"])
+    def test_attnpos_is_bitwise_the_batched_reference(self, mode, n_samples, dims):
+        # blocking the attention per sample changes no summation order, so no byte moves
+        frozen = build_frozen(dims, mode, seed=n_samples)
+        params = init_encoder_params(dims, "attnpos", seed=n_samples + 1)
+        raw = make_random_batch(dims, mode, n_samples, np.random.default_rng(n_samples + 2))
+        prep = prepare_batch(raw, dims, mode)
+        expected_loss, expected = batched_attnpos_loss_and_gradients(
+            params.blocks(), frozen.table, GENRE_SLOT, RHYTHM_SLOT,
+            frozen.weights, mode, prep.genres, prep.rhythms, prep.targets,
+        )
+        loss, grads = batch_loss_and_gradients(params, frozen, prep, dims)
+        assert loss == expected_loss
+        assert sorted(grads) == sorted(expected) and len(grads) == 9
+        for name, ref in expected.items():
+            assert np.array_equal(grads[name], ref), name  # shape and every value, exactly
+
     def test_attnpos_matches_dense_reference_with_a_nearly_one_hot_row(self):
         # a large first coordinate of frame 0, which only the query sees, makes
         # softmax row 0 nearly one-hot: there attn @ u nearly cancels u
@@ -460,7 +546,7 @@ class TestGradients:
         assert attn[:, 1:].max() < 0.01
 
     def test_attnpos_memory_is_bounded_by_the_attention(self):
-        # one (B, T, T) buffer for the softmax and one for its backward pass
+        # one (B, T, T) softmax buffer and one sample's (T, T) backward block
         dims = ModelDims()
         frozen = build_frozen(dims, "categorical", seed=1)
         params = init_encoder_params(dims, "attnpos", seed=2)
@@ -476,7 +562,7 @@ class TestGradients:
             finally:
                 tracemalloc.stop()
 
-        assert peak(batch_loss_and_gradients) < 3 * attn_bytes
+        assert peak(batch_loss_and_gradients) < 2 * attn_bytes
         assert peak(batch_loss) < 1.5 * attn_bytes
 
     def test_gradcheck_worst_index_reproduces_block_error(self):
