@@ -125,6 +125,8 @@ def _evaluate_csv(names, reports, summary) -> str:
 def _cmd_evaluate(args) -> int:
     if args.format == "csv" and (args.phase_align or args.tempo_gen or args.tempo_ref):
         raise ValueError("--phase-align, --tempo-gen and --tempo-ref need --format json")
+    if bool(args.tempo_gen) != bool(args.tempo_ref):
+        raise ValueError("--tempo-gen and --tempo-ref must be given together")
     gen_paths = sorted(args.gen)
     ref_paths = sorted(args.ref)
     if len(gen_paths) != len(ref_paths):
@@ -151,9 +153,7 @@ def _cmd_evaluate(args) -> int:
     doc = {"clips": extras}
     if len(reports) > 1:
         doc["summary"] = metrics.aggregate_reports(reports).to_json_dict()
-    if args.tempo_gen or args.tempo_ref:
-        if not (args.tempo_gen and args.tempo_ref):
-            raise ValueError("--tempo-gen and --tempo-ref must be given together")
+    if args.tempo_gen:
         t_gen = audio.TempoEstimate.from_json(_read_file(args.tempo_gen))
         t_ref = audio.TempoEstimate.from_json(_read_file(args.tempo_ref))
         doc["tempo_difference_bpm"] = metrics.tempo_difference(t_gen, t_ref)

@@ -88,8 +88,8 @@ class PhaseAlignment:
         return asdict(self)
 
 
-def _match_times(gen: np.ndarray, ref: np.ndarray, tolerance: float):
-    """Maximum one-to-one matching of two sorted time arrays under a tolerance.
+def _match_times(gen: list, ref: list, tolerance: float) -> list:
+    """Maximum one-to-one matching of two ascending lists of floats under a tolerance.
 
     Two-pointer sweep: pair the earliest compatible beats and advance
     whichever side is lagging. With a uniform tolerance this greedy matching
@@ -99,7 +99,7 @@ def _match_times(gen: np.ndarray, ref: np.ndarray, tolerance: float):
     i = j = 0
     while i < len(gen) and j < len(ref):
         if abs(gen[i] - ref[j]) <= tolerance:
-            pairs.append((float(gen[i]), float(ref[j])))
+            pairs.append((gen[i], ref[j]))
             i += 1
             j += 1
         elif gen[i] < ref[j] - tolerance:
@@ -110,7 +110,7 @@ def _match_times(gen: np.ndarray, ref: np.ndarray, tolerance: float):
 
 
 def _report_from_times(gen: np.ndarray, ref: np.ndarray, tolerance: float) -> AlignmentReport:
-    pairs = _match_times(gen, ref, tolerance)
+    pairs = _match_times(gen.tolist(), ref.tolist(), tolerance)
     b_g, b_t, b_a = len(gen), len(ref), len(pairs)
     degenerate = b_g == 0 or b_t == 0
     bcs = b_a / b_g if b_g else 0.0
@@ -179,29 +179,27 @@ def phase_align(
     """Find the single global offset of the generated beats that aligns best.
 
     Every offset in {-range, ..., -step, 0, step, ..., +range} is scored.
-    F1 is maximized first; because a uniform tolerance makes F1 flat over a
-    band of offsets, ties are broken by the smallest mean |gen + offset - ref|
-    over the matched pairs, then by smallest |offset|, negative before
-    positive. A degenerate pair of lists reports offset 0.
+    The match count B_a, whose order at fixed B_g and B_t is F1's, is
+    maximized first; a uniform tolerance makes it flat over a band of offsets,
+    so ties are broken by the smallest mean |gen + offset - ref| over the
+    matched pairs, then by smallest |offset|, negative before positive. A
+    degenerate pair of lists reports offset 0.
     """
-    if not (step > 0):
-        raise ValueError(f"step must be positive, got {step!r}")
-    if search_range < step:
-        raise ValueError(f"search range {search_range!r} must be at least one step {step!r}")
+    if not (0 < step < math.inf):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not (step <= search_range < math.inf):
+        raise ValueError(f"search range {search_range!r} must be finite and >= step {step!r}")
     if not (tolerance > 0):
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     n_steps = int(math.floor(search_range / step + 1e-9))
-    best_key = None
-    best = None
-    for k in range(-n_steps, n_steps + 1):
-        offset = k * step
-        report = _report_from_times(gen.times + offset, ref.times, tolerance)
-        if report.pairs:
-            residual = sum(abs(g - r) for g, r in report.pairs) / len(report.pairs)
-        else:
-            residual = math.inf
-        key = (-report.f1, residual, abs(offset), 0 if offset <= 0 else 1)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = PhaseAlignment(offset=offset, report=report)
-    return best
+    ref_times = ref.times.tolist()
+
+    def rank(offset):
+        pairs = _match_times((gen.times + offset).tolist(), ref_times, tolerance)
+        residual = sum(abs(g - r) for g, r in pairs) / len(pairs) if pairs else math.inf
+        # F1 grows strictly with the count at fixed B_g and B_t, so -count orders as -F1
+        return (-len(pairs), residual, abs(offset), 0 if offset <= 0 else 1)
+
+    best = min((k * step for k in range(-n_steps, n_steps + 1)), key=rank)
+    report = _report_from_times(gen.times + best, ref.times, tolerance)
+    return PhaseAlignment(offset=best, report=report)

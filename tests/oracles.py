@@ -109,6 +109,44 @@ def max_matching_oracle(gen, ref, tolerance):
     return best(0, 0)
 
 
+
+def phase_align_oracle(gen, ref, search_range, step, tolerance):
+    """Global offset search over sorted float lists, ranked by F1 itself (not by match count).
+
+    Returns (offset, pairs, b_a, bcs, bhs, f1) at the offset with the highest
+    F1, ties broken by smallest mean matched residual, then smallest |offset|,
+    negative before positive.
+    """
+    b_g, b_t = len(gen), len(ref)
+    n_steps = int(math.floor(search_range / step + 1e-9))
+    best_key = best = None
+    for k in range(-n_steps, n_steps + 1):
+        offset = k * step
+        shifted = [t + offset for t in gen]
+        pairs = []
+        i = j = 0
+        while i < b_g and j < b_t:
+            if abs(shifted[i] - ref[j]) <= tolerance:
+                pairs.append((shifted[i], ref[j]))
+                i += 1
+                j += 1
+            elif shifted[i] < ref[j] - tolerance:
+                i += 1
+            else:
+                j += 1
+        b_a = len(pairs)
+        bcs = b_a / b_g if b_g else 0.0
+        bhs = b_a / b_t if b_t else 0.0
+        f1 = 2.0 * bcs * bhs / (bcs + bhs) if bcs + bhs else 0.0
+        residual = math.inf
+        if pairs:  # a left-to-right sum, not fsum: the tie-break compares rounded means
+            residual = sum(abs(g - r) for g, r in pairs) / b_a
+        key = (-f1, residual, abs(offset), 0 if offset <= 0 else 1)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (offset, tuple(pairs), b_a, bcs, bhs, f1)
+    return best
+
 def _dot(row, vec):
     return math.fsum(row[i] * vec[i] for i in range(len(vec)))
 

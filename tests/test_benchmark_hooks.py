@@ -32,10 +32,12 @@ def _smoke_replay(workload):
     return result
 
 
+@pytest.mark.slow
 def test_inversion_smoke_replay_runs_clean():
     _smoke_replay("inversion")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["long-take", "clip-batch"])
 def test_audio_smoke_replay_runs_clean(workload):
     result = _smoke_replay(workload)

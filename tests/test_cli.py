@@ -160,6 +160,14 @@ class TestEvaluate:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert "--format json" in captured.err
 
+    def test_lone_tempo_flag_refused_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        for flag in ("--tempo-gen", "--tempo-ref"):
+            args = ["evaluate", "--gen", missing, "--ref", missing, flag, missing]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err == "error: --tempo-gen and --tempo-ref must be given together\n"
+
     def test_each_input_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         bits = np.zeros(120, dtype=int)
         bits[[30, 60, 90]] = 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from kinebeat.audio import BeatList, TempoEstimate
 from kinebeat.metrics import (
+    AlignmentReport,
+    PhaseAlignment,
     aggregate_reports,
     f1_score,
     match_beats,
@@ -12,7 +16,7 @@ from kinebeat.metrics import (
     tempo_difference,
 )
 
-from oracles import max_matching_oracle
+from oracles import max_matching_oracle, phase_align_oracle
 
 # BCS/BHS/F1 triples reported for the three backbone variants.
 PUBLISHED_TRIPLES = [
@@ -24,6 +28,13 @@ PUBLISHED_TRIPLES = [
 
 def beats(*times):
     return BeatList(times=np.asarray(times, dtype=np.float64))
+
+
+@st.composite
+def rounded_beats(draw, denominator):
+    """0-30 distinct beat times within 8 s, rounded to 1/denominator s."""
+    ticks = draw(st.lists(st.integers(0, 8 * denominator), max_size=30, unique=True))
+    return sorted(t / denominator for t in ticks)
 
 
 def random_beats(rng, max_beats=10):
@@ -160,6 +171,28 @@ class TestPhaseAlign:
         result = phase_align(beats(), beats(1.0, 2.0))
         assert result.offset == 0.0
         assert result.report.degenerate
+
+    @pytest.mark.parametrize("search_range,step", [
+        (math.inf, 0.01), (math.nan, 0.01), (1.0, math.inf), (1.0, math.nan),
+        (math.inf, math.inf),
+    ])
+    def test_non_finite_grid_rejected(self, search_range, step):
+        with pytest.raises(ValueError, match="finite"):
+            phase_align(beats(1.0), beats(1.0), search_range=search_range, step=step)
+
+    @given(st.data(), st.sampled_from([10, 100]), st.sampled_from([0.05, 0.1, 0.2]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_f1_ranked_oracle(self, data, denominator, tolerance):
+        # coarse times make F1 plateaus and exact residual ties common
+        g = data.draw(rounded_beats(denominator))
+        r = data.draw(rounded_beats(denominator))
+        offset, pairs, b_a, bcs, bhs, f1 = phase_align_oracle(g, r, 1.0, 0.01, tolerance)
+        expected = PhaseAlignment(offset=offset, report=AlignmentReport(
+            b_g=len(g), b_t=len(r), b_a=b_a, bcs=bcs, bhs=bhs, f1=f1, pairs=pairs,
+            degenerate=not (g and r),
+        ))
+        got = phase_align(beats(*g), beats(*r), search_range=1.0, step=0.01, tolerance=tolerance)
+        assert got == expected
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
