@@ -33,7 +33,7 @@ DEFAULT_PEAK_WINDOW_SECONDS = 0.3
 DEFAULT_PEAK_DELTA = 0.1
 DEFAULT_BPM_MIN = 60.0
 DEFAULT_BPM_MAX = 180.0
-ONSET_BLOCK = 256  # STFT frames transformed at a time by onset_envelope
+ONSET_BLOCK = 256  # STFT frames per onset_envelope block; blocks overlap by one frame
 
 _DECODE_BLOCK = 1 << 16  # WAV frames converted to float64 at a time
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -231,8 +231,9 @@ def onset_envelope(
     hop), its center; the leading indices before the first full window are
     zero.
 
-    Frames are strided views of the samples, transformed ONSET_BLOCK at a
-    time, so the working memory does not grow with the clip's length.
+    Frames are strided views of the samples, transformed in blocks of
+    ONSET_BLOCK that overlap by one frame, so the working memory does not
+    grow with the clip's length.
     """
     if not (window >= hop >= 1):
         raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
@@ -243,17 +244,13 @@ def onset_envelope(
     frames = sliding_window_view(x, window)[::hop]
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
     lead = window // (2 * hop)
-    values = np.zeros(lead + n_frames)
-    # row 0 carries the previous block's last frame across the block boundary
-    logmag = np.empty((ONSET_BLOCK + 1, window // 2 + 1))
-    for start in range(0, n_frames, ONSET_BLOCK):
-        block = frames[start : start + ONSET_BLOCK]
-        n = len(block)
-        np.log1p(10.0 * np.abs(np.fft.rfft(block * hann, axis=1)), out=logmag[1 : n + 1])
-        first = 0 if start else 1  # frame 0 has no predecessor; its flux stays 0
-        rise = np.maximum(0.0, logmag[1 + first : n + 1] - logmag[first:n])
-        values[lead + start + first : lead + start + n] = rise.sum(axis=1)
-        logmag[0] = logmag[n]
+    values = np.zeros(lead + n_frames)  # frame 0 has no predecessor; its flux stays 0
+    logmag = np.empty((ONSET_BLOCK, window // 2 + 1))  # reused: one array per block timed slower
+    for start in range(0, n_frames - 1, ONSET_BLOCK - 1):
+        n = min(ONSET_BLOCK, n_frames - start)
+        np.log1p(10.0 * np.abs(np.fft.rfft(frames[start : start + n] * hann, axis=1)), out=logmag[:n])
+        rise = np.maximum(0.0, logmag[1:n] - logmag[: n - 1])
+        values[lead + start + 1 : lead + start + n] = rise.sum(axis=1)
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 

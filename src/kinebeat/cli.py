@@ -68,17 +68,15 @@ def _cmd_extract_rhythm(args) -> int:
     )
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
     if args.clip.lower() == "none":
-        base.write_bytes(rhythm.extract_rhythm(seq, config).to_json())
-        print(base)
-        return 0
-    clips = pose.segment_clips(seq, pose.ClipSpec(duration=float(args.clip)))
-    if not clips:
-        raise ValueError(
-            f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip"
-        )
-    for i, clip in enumerate(clips):
-        path = base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}")
-        path.write_bytes(rhythm.extract_rhythm(clip, config).to_json())
+        outputs = {base: seq}
+    else:
+        clips = pose.segment_clips(seq, pose.ClipSpec(duration=float(args.clip)))
+        if not clips:
+            raise ValueError(f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip")
+        paths = [base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}") for i in range(len(clips))]
+        outputs = dict(zip(paths, clips))
+    for path, part in outputs.items():
+        path.write_bytes(rhythm.extract_rhythm(part, config).to_json())
         print(path)
     return 0
 

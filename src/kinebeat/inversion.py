@@ -290,11 +290,9 @@ def _fit_length(bits, length: int) -> np.ndarray:
     v = finite_array(np.ravel(bits), "rhythm input values", 1)
     if (v < 0).any() or (v > 1).any():
         raise ValueError("rhythm input values must lie in [0, 1]")
-    if len(v) > length:
-        return v[:length].copy()
-    if len(v) < length:
-        return np.pad(v, (0, length - len(v)))
-    return v.copy()
+    out = np.zeros(length)
+    out[: len(v)] = v[:length]
+    return out
 
 
 def _check_one_hot(g) -> np.ndarray:
@@ -470,7 +468,7 @@ class GradCheckReport:
     Relative error is |analytic - fd| / max(|analytic|, |fd|, 1e-6); the
     floor keeps finite-difference roundoff on near-zero coordinates from
     registering as disagreement. worst_index holds, per block, the flat
-    index of the coordinate where that block's error was found.
+    index of the first coordinate with that block's error.
     """
 
     variant: str
@@ -519,8 +517,7 @@ def gradcheck(
     worst_index = {}
     for name, block in params.blocks().items():
         flat = block.reshape(-1)
-        worst = 0.0
-        worst_index[name] = 0
+        errors = np.empty(flat.size)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + GRADCHECK_STEP
@@ -530,11 +527,9 @@ def gradcheck(
             flat[i] = keep
             fd = (up - down) / (2.0 * GRADCHECK_STEP)
             a = analytic[name].reshape(-1)[i]
-            err = float(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
-            if err > worst:
-                worst = err
-                worst_index[name] = i
-        block_errors[name] = worst
+            errors[i] = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
+        worst_index[name] = int(errors.argmax())
+        block_errors[name] = float(errors[worst_index[name]])
     max_error = max(block_errors.values())
     return GradCheckReport(
         variant=variant,
@@ -612,8 +607,9 @@ def sample_from_json_dict(doc) -> Sample:
     )
 
 
-def checkpoint_dict(result: TrainResult) -> dict:
-    return {
+def checkpoint_bytes(result: TrainResult) -> bytes:
+    """Canonical JSON encoding; bit-identical for identical runs."""
+    doc = {
         "version": 1,
         "config": result.config.to_json_dict(),
         "dims": result.dims.to_json_dict(),
@@ -621,11 +617,7 @@ def checkpoint_dict(result: TrainResult) -> dict:
         "frozen_digests": dict(result.frozen_digests),
         "final_loss": result.loss_history[-1],
     }
-
-
-def checkpoint_bytes(result: TrainResult) -> bytes:
-    """Canonical JSON encoding; bit-identical for identical runs."""
-    return json.dumps(checkpoint_dict(result), sort_keys=True).encode("utf-8")
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
 def load_checkpoint(data: bytes) -> dict:

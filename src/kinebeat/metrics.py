@@ -26,6 +26,7 @@ from .audio import BeatList, TempoEstimate
 DEFAULT_TOLERANCE_SECONDS = 0.2
 DEFAULT_PHASE_RANGE_SECONDS = 1.0
 DEFAULT_PHASE_STEP_SECONDS = 0.01
+MAX_PHASE_STEPS = 100_000  # offsets per side phase_align may score; the defaults score 100
 
 
 def f1_score(bcs: float, bhs: float) -> float:
@@ -191,7 +192,10 @@ def phase_align(
         raise ValueError(f"search range {search_range!r} must be finite and >= step {step!r}")
     if not (tolerance > 0):
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-    n_steps = int(math.floor(search_range / step + 1e-9))
+    steps = search_range / step
+    if steps > MAX_PHASE_STEPS:
+        raise ValueError(f"search range / step must be <= {MAX_PHASE_STEPS}, got {steps!r}")
+    n_steps = int(math.floor(steps + 1e-9))
     ref_times = ref.times.tolist()
 
     def rank(offset):

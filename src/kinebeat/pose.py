@@ -192,8 +192,6 @@ def interpolate_low_confidence(
     frames = seq.frames.copy()
     conf = frames[:, :, 2]
     invalid = conf < threshold
-    if not invalid.any():
-        return replace(seq, frames=frames)
     t_all = np.arange(seq.n_frames)
     for j in range(seq.n_joints):
         bad = invalid[:, j]

@@ -241,10 +241,15 @@ def dense_onset_envelope(x, window, hop):
 
 class TestBlockedEnvelope:
     @pytest.mark.parametrize("window,hop", [(1024, 256), (1024, 64), (2048, 512), (512, 512)])
-    @pytest.mark.parametrize("last_block", [1, ONSET_BLOCK, ONSET_BLOCK - 1])
-    def test_bitwise_equal_to_dense_formula(self, window, hop, last_block):
-        n_frames = 2 * ONSET_BLOCK + last_block
-        rng = np.random.default_rng([window, hop, last_block])
+    # frame counts past 2 * ONSET_BLOCK; blocks start every ONSET_BLOCK - 1 frames, so
+    # k * (ONSET_BLOCK - 1) + 1 frames end on a full block and + 2 on a two-frame one
+    @pytest.mark.parametrize("past", [
+        1, ONSET_BLOCK, ONSET_BLOCK - 1, ONSET_BLOCK - 2, 0, -1,
+        1 - ONSET_BLOCK, -ONSET_BLOCK, 2 - 2 * ONSET_BLOCK,
+    ])
+    def test_bitwise_equal_to_dense_formula(self, window, hop, past):
+        n_frames = 2 * ONSET_BLOCK + past
+        rng = np.random.default_rng([window, hop, n_frames])
         x = rng.uniform(-1, 1, window + (n_frames - 1) * hop + hop // 2)
         env = onset_envelope(AudioClip(SR, x), window=window, hop=hop)
         assert env.values.tobytes() == dense_onset_envelope(x, window, hop).tobytes()

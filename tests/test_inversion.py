@@ -566,17 +566,26 @@ class TestGradients:
         assert peak(batch_loss) < 1.5 * attn_bytes
 
     def test_gradcheck_worst_index_reproduces_block_error(self):
-        seed, n_samples = 5, 2
-        report = gradcheck("attnpos", "categorical", seed=seed, dims=SMALL, n_samples=n_samples)
-        assert report.to_json_dict()["worst_index"] == report.worst_index
-        frozen = build_frozen(SMALL, "categorical", np.random.default_rng([seed, 0]).integers(2**32))
-        params = init_encoder_params(SMALL, "attnpos", np.random.default_rng([seed, 1]).integers(2**32))
-        batch = make_random_batch(SMALL, "categorical", n_samples, np.random.default_rng([seed, 2]))
-        _, analytic = batch_loss_and_gradients(params, frozen, batch, SMALL)
-        step = report.step
-        for name, block in params.blocks().items():
-            i = report.worst_index[name]
-            flat = block.reshape(-1)
+        assert_gradcheck_reports_first_largest_error("attnpos", "categorical", seed=5)
+
+    def test_gradcheck_reports_the_first_of_tied_errors(self):
+        # two coordinates of rhythm.w1 tie at that block's largest error
+        assert_gradcheck_reports_first_largest_error("mlp", "regression", seed=1)
+
+
+def assert_gradcheck_reports_first_largest_error(variant, mode, seed, n_samples=2):
+    """Recompute every coordinate's error; each block reports its largest, at the first index."""
+    report = gradcheck(variant, mode, seed=seed, dims=SMALL, n_samples=n_samples)
+    assert report.to_json_dict()["worst_index"] == report.worst_index
+    frozen = build_frozen(SMALL, mode, np.random.default_rng([seed, 0]).integers(2**32))
+    params = init_encoder_params(SMALL, variant, np.random.default_rng([seed, 1]).integers(2**32))
+    batch = make_random_batch(SMALL, mode, n_samples, np.random.default_rng([seed, 2]))
+    _, analytic = batch_loss_and_gradients(params, frozen, batch, SMALL)
+    step = report.step
+    for name, block in params.blocks().items():
+        flat = block.reshape(-1)
+        errs = []
+        for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
             up = batch_loss(params, frozen, batch, SMALL)
@@ -585,7 +594,9 @@ class TestGradients:
             flat[i] = keep
             fd = (up - down) / (2.0 * step)
             a = analytic[name].reshape(-1)[i]
-            assert abs(a - fd) / max(abs(a), abs(fd), 1e-6) == report.block_errors[name], name
+            errs.append(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+        assert report.block_errors[name] == max(errs), name
+        assert report.worst_index[name] == errs.index(max(errs)), name
 
 
 class TestSingleDispatch:

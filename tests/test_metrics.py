@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinebeat import metrics
 from kinebeat.audio import BeatList, TempoEstimate
 from kinebeat.metrics import (
+    MAX_PHASE_STEPS,
     AlignmentReport,
     PhaseAlignment,
     aggregate_reports,
@@ -179,6 +181,22 @@ class TestPhaseAlign:
     def test_non_finite_grid_rejected(self, search_range, step):
         with pytest.raises(ValueError, match="finite"):
             phase_align(beats(1.0), beats(1.0), search_range=search_range, step=step)
+
+    @pytest.mark.parametrize("search_range,step", [
+        (1e300, 1e-300), (math.nextafter(MAX_PHASE_STEPS, math.inf), 1.0),
+    ])
+    def test_oversized_grid_rejected_before_matching(self, monkeypatch, search_range, step):
+        def no_matching(*args):
+            raise AssertionError("matched before the grid was checked")
+
+        monkeypatch.setattr(metrics, "_match_times", no_matching)
+        with pytest.raises(ValueError, match="search range / step"):
+            phase_align(beats(1.0), beats(1.0), search_range=search_range, step=step)
+
+    def test_grid_at_the_bound_accepted(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_match_times", lambda gen, ref, tolerance: [])
+        result = phase_align(beats(1.0), beats(1.0), search_range=MAX_PHASE_STEPS, step=1.0)
+        assert result.offset == 0.0
 
     @given(st.data(), st.sampled_from([10, 100]), st.sampled_from([0.05, 0.1, 0.2]))
     @settings(max_examples=200, deadline=None)
