@@ -23,12 +23,23 @@ from . import audio, inversion, metrics, pose, rhythm
 ENV_SEED = "KINEBEAT_SEED"
 
 
+def _seed(value, name: str) -> int:
+    """A seed must be a nonnegative integer; the error names where it came from."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 def _fallback_seed(args) -> int:
     """--seed, else $KINEBEAT_SEED, else the command's library default."""
     if args.seed is not None:
-        return int(args.seed)
+        return _seed(args.seed, "--seed")
     env = os.environ.get(ENV_SEED)
-    return int(env) if env is not None else args.library_seed
+    return _seed(env, f"${ENV_SEED}") if env is not None else args.library_seed
 
 
 def _read_file(path: str) -> bytes:
@@ -160,6 +171,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    seed, frozen_seed = _fallback_seed(args), _seed(args.frozen_seed, "--frozen-seed")
     data_dir = Path(args.data)
     files = sorted(data_dir.glob("*.json"))
     if not files:
@@ -178,8 +190,8 @@ def _cmd_train_toy(args) -> int:
         mode=args.mode,
         learning_rate=args.lr,
         epochs=args.epochs,
-        seed=_fallback_seed(args),
-        frozen_seed=args.frozen_seed,
+        seed=seed,
+        frozen_seed=frozen_seed,
     )
     result = inversion.train(config, dataset)
     out = Path(args.output) if args.output else Path("checkpoint.json")

@@ -11,7 +11,8 @@ cross-entropy). Training therefore updates only the two encoders, which is
 checked literally through content digests of the frozen blocks.
 
 Gradients are hand-derived and verified against central finite differences;
-`gradcheck` reports the worst relative error per parameter block.
+`gradcheck` reports the worst relative error per parameter block, probing
+most blocks in bulk from the forward's cached intermediates.
 
 All arithmetic is float64 and single-threaded, so a (seed, config, dataset)
 triple reproduces parameters and checkpoints bit for bit.
@@ -23,6 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +123,13 @@ class MlpProjector:
             "b2": dslot.sum(axis=0),
         }
 
+    def probes(self, rhythms: np.ndarray, trace) -> dict:
+        """Gradient-check probes (see _dense_probes) for every block."""
+        (hidden,) = trace
+        w1, b1 = _dense_probes(rhythms, self.w2, rhythms @ self.w1.T + self.b1)
+        w2, b2 = _dense_probes(hidden, np.eye(len(self.w2)))
+        return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+
 
 @dataclass
 class AttnPosProjector:
@@ -193,6 +202,60 @@ class AttnPosProjector:
             "w_out": dslot.T @ pool,
             "b_out": dslot.sum(axis=0),
         }
+
+    def probes(self, rhythms: np.ndarray, trace) -> dict:
+        """Gradient-check probes for all but frame_embed, w_query and w_key,
+        which move every row of q or k."""
+        x, q, k, v, attn, col, pool, scale = trace
+        w_out, b_out = _dense_probes(pool, np.eye(len(self.w_out)))
+        # pool = (col @ x) @ w_value.T: the attention does not depend on v
+        w_value, _ = _dense_probes((col[:, None, :] @ x)[:, 0], self.w_out)
+        rows = attn @ v  # each query row's output; pool is their mean
+
+        def pos_table(t, delta):
+            # moving pos_table[t, c] moves row t of q, k and v only; P = delta.size probes
+            dq, dk, dv = ((delta[..., None] * w.T).reshape(-1, w.shape[0])
+                          for w in (self.w_query, self.w_key, self.w_value))
+            qt, kt, vt = q[:, t, None] + dq, k[:, t, None] + dk, v[:, t, None] + dv  # (B, P, d')
+            s = qt @ k.transpose(0, 2, 1)  # softmax row t, recomputed
+            s[:, :, t] = (qt * kt).sum(axis=-1)
+            s *= scale
+            s -= s.max(axis=-1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=-1, keepdims=True)
+            total = s @ v + s[:, :, t, None] * dv
+            # every other row i scales its column-t weight by exp(scale q_i . dk), then
+            # renormalises from its sum of 1; its output moves in O(d')
+            grow = np.expm1(scale * (q @ dk.T)).transpose(0, 2, 1)  # (B, P, T)
+            at = attn[:, None, :, t]
+            w = 1.0 / (1.0 + at * grow)
+            w[:, :, t] = 0.0
+            total += w @ rows
+            total += (at * (grow + 1.0) * w).sum(axis=-1)[..., None] * vt
+            total -= (at * w).sum(axis=-1)[..., None] * v[:, t, None]
+            shift = (total / x.shape[1] - pool[:, None]) @ self.w_out.T  # (B, P, d)
+            return shift.transpose(1, 0, 2).reshape(delta.shape + (len(q), -1))
+
+        return {"pos_table": pos_table, "w_value": w_value, "w_out": w_out, "b_out": b_out}
+
+
+def _dense_probes(inputs, m, z=None):
+    """(weight, bias) gradient-check probes of a layer z = inputs @ weight.T + bias.
+
+    Moving weight[i, j] by delta moves z[:, i] by delta * inputs[:, j] (a bias
+    weighs a column of ones) and the slot by m[:, i] times that, or times the
+    change in tanh(z[:, i]) when z is given. A probe maps block row r and its
+    (2, L) +-step changes to the (2, L, B, d) slot shifts.
+    """
+    def probe(x, r, delta):
+        # block row r holds flat coordinates r * L ... r * L + L - 1, each an (i, j)
+        i, j = np.divmod(r * delta.shape[1] + np.arange(delta.shape[1]), x.shape[1])
+        change = delta[..., None] * x.T[j]  # (2, L, B)
+        if z is not None:
+            change = np.tanh(z.T[i] + change) - np.tanh(z.T[i])
+        return change[..., None] * m.T[i][:, None, :]
+
+    return partial(probe, inputs), partial(probe, np.ones((len(inputs), 1)))
 
 
 PROJECTORS = {"mlp": MlpProjector, "attnpos": AttnPosProjector}
@@ -372,26 +435,27 @@ def _batch_forward(params: EncoderParams, frozen: FrozenModel, prep: PreparedBat
     return pooled, v_genre, v_rhythm, trace
 
 
-def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets: np.ndarray):
-    """Mean loss over the batch and its gradient w.r.t. pooled embeddings."""
-    n = pooled.shape[0]
-    out = pooled @ frozen.weights.T  # (B, target_dim) outputs or (B, V) logits
+def _batch_loss_grad(frozen: FrozenModel, pooled: np.ndarray, targets: np.ndarray, grad=True):
+    """Mean loss over the trailing (B, out) axes of pooled (B, d) or a (..., B, d)
+    stack of gradient-check probes, and, if grad, its gradient w.r.t. pooled."""
+    n = pooled.shape[-2]
+    out = pooled @ frozen.weights.T  # (..., B, target_dim) outputs or (..., B, V) logits
     if frozen.mode == "regression":
         diff = out - targets
-        m = diff.shape[1]
-        loss = float((diff * diff).sum() / (n * m))
-        return loss, (2.0 / (n * m)) * diff @ frozen.weights
-    logz = out.max(axis=1) + np.log(np.exp(out - out.max(axis=1, keepdims=True)).sum(axis=1))
-    p = np.exp(out - logz[:, None])
-    loss = float((logz - (targets * out).sum(axis=1)).mean())
-    return loss, ((p - targets) / n) @ frozen.weights
+        m = diff.shape[-1]
+        loss = (diff * diff).sum(axis=(-2, -1)) / (n * m)
+        return loss, (2.0 / (n * m)) * diff @ frozen.weights if grad else None
+    top = out.max(axis=-1, keepdims=True)
+    logz = top[..., 0] + np.log(np.exp(out - top).sum(axis=-1))
+    loss = (logz - (targets * out).sum(axis=-1)).mean(axis=-1)
+    return loss, ((np.exp(out - logz[..., None]) - targets) / n) @ frozen.weights if grad else None
 
 
 def batch_loss(params: EncoderParams, frozen: FrozenModel, batch, dims: ModelDims = ModelDims()) -> float:
     """Mean reconstruction loss over a batch, forward only."""
     prep = prepare_batch(batch, dims, frozen.mode)
     pooled, _, _, _ = _batch_forward(params, frozen, prep)
-    return _batch_loss_grad(frozen, pooled, prep.targets)[0]
+    return float(_batch_loss_grad(frozen, pooled, prep.targets, grad=False)[0])
 
 
 def batch_loss_and_gradients(
@@ -410,7 +474,7 @@ def batch_loss_and_gradients(
     grads = {"genre.weight": dz_g.T @ prep.genres, "genre.bias": dz_g.sum(axis=0)}
     for name, grad in params.rhythm.backward(prep.rhythms, trace, dslot).items():
         grads[f"rhythm.{name}"] = grad
-    return loss, grads
+    return float(loss), grads
 
 
 @dataclass
@@ -500,6 +564,36 @@ def make_random_batch(dims: ModelDims, mode: str, n_samples: int, rng) -> list:
     return batch
 
 
+def _probe_losses(params: EncoderParams, frozen: FrozenModel, prep: PreparedBatch) -> dict:
+    """Per block, the (2, size) batch losses with each coordinate moved by +step and
+    -step: a block row per stacked loss where a probe exists, else batch_loss."""
+    pooled, _, _, trace = _batch_forward(params, frozen, prep)
+    probes = {f"rhythm.{name}": p for name, p in params.rhythm.probes(prep.rhythms, trace).items()}
+    g = params.genre
+    probes["genre.weight"], probes["genre.bias"] = _dense_probes(
+        prep.genres, np.eye(len(g.weight)), prep.genres @ g.weight.T + g.bias)
+    losses = {}
+    for name, block in params.blocks().items():
+        flat = block.reshape(-1)
+        out = losses[name] = np.empty((2, flat.size))
+        probe = probes.get(name)
+        if probe is None:
+            for i in range(flat.size):
+                keep = flat[i]
+                for sign, step in enumerate((GRADCHECK_STEP, -GRADCHECK_STEP)):
+                    flat[i] = keep + step
+                    out[sign, i] = batch_loss(params, frozen, prep)
+                flat[i] = keep
+            continue
+        width = block.shape[-1]  # one block row at a time keeps the stacks small
+        rows = out.reshape(2, -1, width)
+        for r, row in enumerate(block.reshape(-1, width)):
+            delta = np.stack([(row + GRADCHECK_STEP) - row, (row - GRADCHECK_STEP) - row])
+            moved = pooled + probe(r, delta) / len(PROMPT_WORDS)
+            rows[:, r] = _batch_loss_grad(frozen, moved, prep.targets, grad=False)[0]
+    return losses
+
+
 def gradcheck(
     variant: str,
     mode: str,
@@ -515,19 +609,10 @@ def gradcheck(
     _, analytic = batch_loss_and_gradients(params, frozen, batch, dims)
     block_errors = {}
     worst_index = {}
-    for name, block in params.blocks().items():
-        flat = block.reshape(-1)
-        errors = np.empty(flat.size)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + GRADCHECK_STEP
-            up = batch_loss(params, frozen, batch, dims)
-            flat[i] = keep - GRADCHECK_STEP
-            down = batch_loss(params, frozen, batch, dims)
-            flat[i] = keep
-            fd = (up - down) / (2.0 * GRADCHECK_STEP)
-            a = analytic[name].reshape(-1)[i]
-            errors[i] = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
+    for name, (up, down) in _probe_losses(params, frozen, batch).items():
+        fd = (up - down) / (2.0 * GRADCHECK_STEP)
+        a = analytic[name].reshape(-1)
+        errors = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
         worst_index[name] = int(errors.argmax())
         block_errors[name] = float(errors[worst_index[name]])
     max_error = max(block_errors.values())

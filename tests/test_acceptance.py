@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from kinebeat import cli
 from kinebeat.audio import BeatList, estimate_tempo, onset_envelope, pick_beats, read_wav
@@ -145,7 +144,6 @@ def test_criterion_6_phase_alignment_recovery():
     report(6, ok, f"offset {result.offset:+.3f} (err {offset_err:.4f}), aligned f1 {result.report.f1}")
 
 
-@pytest.mark.slow
 def test_criterion_7_inversion_mechanism(tmp_path):
     t0 = time.time()
     details = []

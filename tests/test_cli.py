@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kinebeat import cli
 from kinebeat.audio import BeatList, onset_envelope, read_wav
 from kinebeat.cli import build_parser, main
 from kinebeat.inversion import (
@@ -556,6 +557,47 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--variant", "mlp", "--mode", "regression"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == inspect.signature(gradcheck).parameters["seed"].default
+
+
+BAD_SEEDS = [
+    pytest.param(["--seed", "-1"], None, "--seed must be a nonnegative integer, got -1",
+                 id="seed-negative"),
+    pytest.param([], "x", "$KINEBEAT_SEED must be a nonnegative integer, got 'x'",
+                 id="env-not-an-integer"),
+    pytest.param([], "1.5", "$KINEBEAT_SEED must be a nonnegative integer, got '1.5'",
+                 id="env-fraction"),
+    pytest.param([], "-2", "$KINEBEAT_SEED must be a nonnegative integer, got '-2'",
+                 id="env-negative"),
+    pytest.param(["--seed", "-1"], "x", "--seed must be a nonnegative integer, got -1",
+                 id="flag-checked-before-env"),
+]
+
+
+class TestBadSeeds:
+    """A bad seed exits 2 with one line naming its flag or variable, before any file is read."""
+
+    @pytest.mark.parametrize("command, flags, env, message", [
+        *[pytest.param(command, *case.values, id=f"{command}-{case.id}")
+          for command in ("train-toy", "gradcheck") for case in BAD_SEEDS],
+        pytest.param("train-toy", ["--frozen-seed", "-3"], None,
+                     "--frozen-seed must be a nonnegative integer, got -3",
+                     id="train-toy-frozen-seed-negative"),
+    ])
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, command, flags, env, message):
+        if env is None:
+            monkeypatch.delenv("KINEBEAT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("KINEBEAT_SEED", env)
+        data = tmp_path / "data"
+        write_dataset(data, n=2)
+        read = []
+        monkeypatch.setattr(cli, "_read_file", lambda path: read.append(path))
+        source = ["--data", str(data)] if command == "train-toy" else []
+        out = tmp_path / "out.json"
+        assert main([command, *source, *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read == []
+        assert not out.exists()
 
 
 class TestParser:

@@ -473,10 +473,11 @@ class TestGradients:
         assert report.passed, report.block_errors
         assert report.max_error < 1e-4
 
-    def test_gradcheck_deterministic(self):
-        a = gradcheck("mlp", "regression", seed=5, dims=SMALL, n_samples=2)
-        b = gradcheck("mlp", "regression", seed=5, dims=SMALL, n_samples=2)
-        assert a.block_errors == b.block_errors
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gradcheck_deterministic(self, variant):
+        a = gradcheck(variant, "regression", seed=5, dims=SMALL, n_samples=2)
+        b = gradcheck(variant, "regression", seed=5, dims=SMALL, n_samples=2)
+        assert a == b
 
     def test_zero_residual_zero_gradient(self):
         frozen = build_frozen(SMALL, "regression", seed=4)
@@ -574,29 +575,90 @@ class TestGradients:
 
 
 def assert_gradcheck_reports_first_largest_error(variant, mode, seed, n_samples=2):
-    """Recompute every coordinate's error; each block reports its largest, at the first index."""
+    """Recompute every coordinate's error, one at a time, from gradcheck's own +-step
+    losses (TestProbeLosses pins those to batch_loss); each block reports its
+    largest, at the first index."""
     report = gradcheck(variant, mode, seed=seed, dims=SMALL, n_samples=n_samples)
     assert report.to_json_dict()["worst_index"] == report.worst_index
     frozen = build_frozen(SMALL, mode, np.random.default_rng([seed, 0]).integers(2**32))
     params = init_encoder_params(SMALL, variant, np.random.default_rng([seed, 1]).integers(2**32))
-    batch = make_random_batch(SMALL, mode, n_samples, np.random.default_rng([seed, 2]))
+    raw = make_random_batch(SMALL, mode, n_samples, np.random.default_rng([seed, 2]))
+    batch = prepare_batch(raw, SMALL, mode)
     _, analytic = batch_loss_and_gradients(params, frozen, batch, SMALL)
     step = report.step
-    for name, block in params.blocks().items():
-        flat = block.reshape(-1)
+    for name, (ups, downs) in inversion._probe_losses(params, frozen, batch).items():
         errs = []
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = batch_loss(params, frozen, batch, SMALL)
-            flat[i] = keep - step
-            down = batch_loss(params, frozen, batch, SMALL)
-            flat[i] = keep
+        for i, (up, down) in enumerate(zip(ups.tolist(), downs.tolist())):
             fd = (up - down) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
+            a = float(analytic[name].reshape(-1)[i])
             errs.append(abs(a - fd) / max(abs(a), abs(fd), 1e-6))
         assert report.block_errors[name] == max(errs), name
         assert report.worst_index[name] == errs.index(max(errs)), name
+
+
+def assert_probe_losses_match_batch_loss(variant, mode, dims, picks_per_block=None, seed=0,
+                                         weight_scale=1.0):
+    """Each stacked +-step loss equals batch_loss with that one coordinate moved."""
+    frozen = build_frozen(dims, mode, seed)
+    params = init_encoder_params(dims, variant, seed + 1)
+    for block in params.blocks().values():
+        block *= weight_scale
+    batch = prepare_batch(make_random_batch(dims, mode, 3, np.random.default_rng(seed + 2)), dims, mode)
+    losses = inversion._probe_losses(params, frozen, batch)
+    assert list(losses) == list(params.blocks())
+    for name, block in params.blocks().items():
+        flat = block.reshape(-1)
+        assert losses[name].shape == (2, flat.size), name
+        picks = range(flat.size)
+        if picks_per_block is not None:  # spread over the block, first and last included
+            picks = np.unique(np.linspace(0, flat.size - 1, picks_per_block).astype(int))
+        for i in picks:
+            keep = flat[i]
+            expected = []
+            for step in (GRADCHECK_STEP, -GRADCHECK_STEP):
+                flat[i] = keep + step
+                expected.append(batch_loss(params, frozen, batch, dims))
+            flat[i] = keep
+            up, down = losses[name][:, i]
+            np.testing.assert_allclose([up, down], expected, rtol=1e-13, atol=0, err_msg=f"{name}[{i}]")
+            fd_gap = abs((up - down) - (expected[0] - expected[1])) / (2.0 * GRADCHECK_STEP)
+            assert fd_gap <= 1e-9, (name, i, fd_gap)
+
+
+class TestProbeLosses:
+    """gradcheck's bulk losses against batch_loss, the evaluator of record."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("mode", ["regression", "categorical"])
+    # at the init scale (+-0.1) the attention is nearly flat and tanh nearly linear, so the
+    # row update's renormalisation moves a loss by about 1e-14; weights x10 make it count
+    @pytest.mark.parametrize("seed, weight_scale", [(0, 1.0), (1, 10.0)])
+    def test_every_coordinate_at_small_dims(self, variant, mode, seed, weight_scale):
+        assert_probe_losses_match_batch_loss(variant, mode, SMALL, seed=seed, weight_scale=weight_scale)
+
+    @pytest.mark.parametrize("variant", [
+        "mlp", pytest.param("attnpos", marks=pytest.mark.slow),  # about 3 s of batch_loss probes
+    ])
+    @pytest.mark.parametrize("mode", ["regression", "categorical"])
+    def test_spread_coordinates_at_default_dims(self, variant, mode):
+        assert_probe_losses_match_batch_loss(variant, mode, ModelDims(), picks_per_block=12)
+
+    @pytest.mark.parametrize("variant", [
+        "mlp", pytest.param("attnpos", marks=pytest.mark.slow),
+    ])
+    def test_gradcheck_memory_at_default_dims(self, variant):
+        dims = ModelDims()
+        # attnpos: the forward's cached (B, T, T) attention stays alive while each full
+        # batch_loss builds its own; about 5.9 MB, under three such arrays at gradcheck's B = 3
+        bound = 8e6 if variant == "mlp" else 3 * (3 * dims.rhythm_len ** 2 * 8)
+        tracemalloc.start()
+        try:
+            report = gradcheck(variant, "regression", dims=dims)  # the benchmark's mode
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= bound, peak
 
 
 class TestSingleDispatch:
