@@ -69,7 +69,6 @@ def _load_beats(path: str) -> audio.BeatList:
 
 
 def _cmd_extract_rhythm(args) -> int:
-    seq = pose.parse_pose_file(_read_file(args.poses))
     config = rhythm.RhythmConfig(
         bins=args.bins,
         window=args.window,
@@ -77,11 +76,17 @@ def _cmd_extract_rhythm(args) -> int:
         min_rel=args.min_rel,
         confidence_threshold=args.conf_threshold,
     )
+    try:
+        seconds = None if args.clip.lower() == "none" else float(args.clip)
+    except ValueError:
+        raise ValueError(f'--clip must be a number of seconds or "none", got {args.clip!r}') from None
+    spec = None if seconds is None else pose.ClipSpec(duration=seconds)
+    seq = pose.parse_pose_file(_read_file(args.poses))
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
-    if args.clip.lower() == "none":
+    if spec is None:
         outputs = {base: seq}
     else:
-        clips = pose.segment_clips(seq, pose.ClipSpec(duration=float(args.clip)))
+        clips = pose.segment_clips(seq, spec)
         if not clips:
             raise ValueError(f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip")
         paths = [base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}") for i in range(len(clips))]
@@ -172,6 +177,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_train_toy(args) -> int:
     seed, frozen_seed = _fallback_seed(args), _seed(args.frozen_seed, "--frozen-seed")
+    config = inversion.TrainingConfig(variant=args.variant, mode=args.mode, learning_rate=args.lr,
+                                      epochs=args.epochs, seed=seed, frozen_seed=frozen_seed)
     data_dir = Path(args.data)
     files = sorted(data_dir.glob("*.json"))
     if not files:
@@ -185,14 +192,6 @@ def _cmd_train_toy(args) -> int:
         except ValueError as exc:  # malformed UTF-8 or JSON, or a bad sample
             raise ValueError(f"{path}: {exc}") from exc
         dataset.append(sample)
-    config = inversion.TrainingConfig(
-        variant=args.variant,
-        mode=args.mode,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=seed,
-        frozen_seed=frozen_seed,
-    )
     result = inversion.train(config, dataset)
     out = Path(args.output) if args.output else Path("checkpoint.json")
     out.write_bytes(inversion.checkpoint_bytes(result))

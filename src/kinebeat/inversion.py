@@ -11,8 +11,8 @@ cross-entropy). Training therefore updates only the two encoders, which is
 checked literally through content digests of the frozen blocks.
 
 Gradients are hand-derived and verified against central finite differences;
-`gradcheck` reports the worst relative error per parameter block, probing
-most blocks in bulk from the forward's cached intermediates.
+`gradcheck` reports the worst relative error per parameter block, each
+block's probes stacked into one loss per block row.
 
 All arithmetic is float64 and single-threaded, so a (seed, config, dataset)
 triple reproduces parameters and checkpoints bit for bit.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -168,10 +168,7 @@ class AttnPosProjector:
         # one sample's (T, T) block at a time, so it stays in cache across its passes
         for b, s in enumerate(attn):
             np.matmul(q[b], k[b].T, out=s)  # the scores, turned into softmax rows in place
-            s *= scale
-            s -= s.max(axis=1, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=1, keepdims=True)
+            _softmax_rows(s, scale)
             # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
             col[b] = s.mean(axis=0)
         pool = (col[:, None, :] @ v)[:, 0]
@@ -204,9 +201,19 @@ class AttnPosProjector:
         }
 
     def probes(self, rhythms: np.ndarray, trace) -> dict:
-        """Gradient-check probes for all but frame_embed, w_query and w_key,
-        which move every row of q or k."""
+        """Gradient-check probes for every block; those of frame_embed, w_query and
+        w_key, which move every row of q or k, rerun the forward on a moved copy."""
         x, q, k, v, attn, col, pool, scale = trace
+        slot = pool @ self.w_out.T + self.b_out
+
+        def rerun(name, r, delta):
+            shift = np.empty(delta.shape + slot.shape)
+            for (sign, i), step in np.ndenumerate(delta):
+                moved = getattr(self, name).copy()
+                moved.reshape(-1)[r * delta.shape[1] + i] += step
+                shift[sign, i] = replace(self, **{name: moved}).forward(rhythms)[0] - slot
+            return shift
+
         w_out, b_out = _dense_probes(pool, np.eye(len(self.w_out)))
         # pool = (col @ x) @ w_value.T: the attention does not depend on v
         w_value, _ = _dense_probes((col[:, None, :] @ x)[:, 0], self.w_out)
@@ -219,10 +226,7 @@ class AttnPosProjector:
             qt, kt, vt = q[:, t, None] + dq, k[:, t, None] + dk, v[:, t, None] + dv  # (B, P, d')
             s = qt @ k.transpose(0, 2, 1)  # softmax row t, recomputed
             s[:, :, t] = (qt * kt).sum(axis=-1)
-            s *= scale
-            s -= s.max(axis=-1, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(axis=-1, keepdims=True)
+            _softmax_rows(s, scale)
             total = s @ v + s[:, :, t, None] * dv
             # every other row i scales its column-t weight by exp(scale q_i . dk), then
             # renormalises from its sum of 1; its output moves in O(d')
@@ -236,7 +240,17 @@ class AttnPosProjector:
             shift = (total / x.shape[1] - pool[:, None]) @ self.w_out.T  # (B, P, d)
             return shift.transpose(1, 0, 2).reshape(delta.shape + (len(q), -1))
 
-        return {"pos_table": pos_table, "w_value": w_value, "w_out": w_out, "b_out": b_out}
+        return {"frame_embed": partial(rerun, "frame_embed"), "pos_table": pos_table,
+                "w_query": partial(rerun, "w_query"), "w_key": partial(rerun, "w_key"),
+                "w_value": w_value, "w_out": w_out, "b_out": b_out}
+
+
+def _softmax_rows(s, scale):
+    """s becomes softmax(scale * s) along its last axis, in place."""
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
 
 def _dense_probes(inputs, m, z=None):
@@ -566,7 +580,7 @@ def make_random_batch(dims: ModelDims, mode: str, n_samples: int, rng) -> list:
 
 def _probe_losses(params: EncoderParams, frozen: FrozenModel, prep: PreparedBatch) -> dict:
     """Per block, the (2, size) batch losses with each coordinate moved by +step and
-    -step: a block row per stacked loss where a probe exists, else batch_loss."""
+    -step: one stacked loss per block row, from its probe's slot shifts."""
     pooled, _, _, trace = _batch_forward(params, frozen, prep)
     probes = {f"rhythm.{name}": p for name, p in params.rhythm.probes(prep.rhythms, trace).items()}
     g = params.genre
@@ -574,22 +588,12 @@ def _probe_losses(params: EncoderParams, frozen: FrozenModel, prep: PreparedBatc
         prep.genres, np.eye(len(g.weight)), prep.genres @ g.weight.T + g.bias)
     losses = {}
     for name, block in params.blocks().items():
-        flat = block.reshape(-1)
-        out = losses[name] = np.empty((2, flat.size))
-        probe = probes.get(name)
-        if probe is None:
-            for i in range(flat.size):
-                keep = flat[i]
-                for sign, step in enumerate((GRADCHECK_STEP, -GRADCHECK_STEP)):
-                    flat[i] = keep + step
-                    out[sign, i] = batch_loss(params, frozen, prep)
-                flat[i] = keep
-            continue
         width = block.shape[-1]  # one block row at a time keeps the stacks small
-        rows = out.reshape(2, -1, width)
+        losses[name] = np.empty((2, block.size))
+        rows = losses[name].reshape(2, -1, width)
         for r, row in enumerate(block.reshape(-1, width)):
             delta = np.stack([(row + GRADCHECK_STEP) - row, (row - GRADCHECK_STEP) - row])
-            moved = pooled + probe(r, delta) / len(PROMPT_WORDS)
+            moved = pooled + probes[name](r, delta) / len(PROMPT_WORDS)
             rows[:, r] = _batch_loss_grad(frozen, moved, prep.targets, grad=False)[0]
     return losses
 

@@ -72,6 +72,16 @@ class TestReadWav:
         with pytest.raises(ValueError, match="cannot decode"):
             read_wav(data[:30])
 
+    def test_data_chunk_starting_at_the_riff_end_is_not_read(self):
+        fmt = _fmt(1, 1, 16)
+        data = _riff(fmt, _chunk(b"data", np.zeros(4, "<i2").tobytes()), size=4 + len(fmt))
+        with pytest.raises(ValueError, match="no data chunk"):
+            read_wav(data)
+
+    def test_zero_sample_rate_refused(self):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            AudioClip(0, np.zeros(4))
+
 
 def _chunk(chunk_id, body, size=None):
     """One RIFF chunk; odd-sized bodies get their pad byte."""
@@ -425,6 +435,14 @@ class TestEstimateTempo:
         env = OnsetEnvelope(frame_rate=86.13, values=np.abs(np.sin(np.arange(40.0))))
         with pytest.raises(ValueError, match="too short"):
             estimate_tempo(env)
+
+    def test_one_candidate_lag_needs_one_frame_more_than_it(self):
+        # at 100 Hz, 6000 / 120.1 = 49.96 and 6000 / 119.9 = 50.04 frames: lag 50 is the only one
+        values = np.zeros(51)
+        values[[0, 50]] = 1.0
+        with pytest.raises(ValueError, match="too short"):
+            estimate_tempo(OnsetEnvelope(frame_rate=100.0, values=values[:50]), 119.9, 120.1)
+        assert estimate_tempo(OnsetEnvelope(frame_rate=100.0, values=values), 119.9, 120.1).bpm == 120.0
 
     def test_bad_range(self):
         env = OnsetEnvelope(frame_rate=86.13, values=np.ones(500))

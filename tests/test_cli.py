@@ -500,7 +500,8 @@ class TestBadJsonNumbers:
 
 
 class TestBadNumericFlags:
-    """A NaN threshold or a value whose frame count overflows exits 2, not 0 or a traceback."""
+    """A NaN threshold, a value whose frame count overflows or a --clip that is not a number
+    exits 2, not 0 or a traceback."""
 
     @pytest.mark.parametrize("command, flags, message", [
         pytest.param("extract-rhythm", ["--min-value", "nan"], "thresholds must be nonnegative",
@@ -510,6 +511,8 @@ class TestBadNumericFlags:
         pytest.param("detect-beats", ["--delta", "nan"], "delta must be nonnegative", id="delta-nan"),
         pytest.param("extract-rhythm", ["--clip", "1e308"], "not a finite frame count",
                      id="clip-frames-overflow"),
+        pytest.param("extract-rhythm", ["--clip", "abc"],
+                     """--clip must be a number of seconds or "none", got 'abc'""", id="clip-not-a-number"),
         pytest.param("tempo", ["--bpm-min", "1e-320"], "longest lag", id="bpm-min-lag-overflow"),
         pytest.param("extract-rhythm", ["--bins", "1" + "0" * 20], "direction bins must fit in int64",
                      id="bins-overflow"),
@@ -574,7 +577,8 @@ BAD_SEEDS = [
 
 
 class TestBadSeeds:
-    """A bad seed exits 2 with one line naming its flag or variable, before any file is read."""
+    """A bad seed, epoch count or learning rate exits 2 with one line naming its flag,
+    variable or setting, before any file is read."""
 
     @pytest.mark.parametrize("command, flags, env, message", [
         *[pytest.param(command, *case.values, id=f"{command}-{case.id}")
@@ -582,6 +586,12 @@ class TestBadSeeds:
         pytest.param("train-toy", ["--frozen-seed", "-3"], None,
                      "--frozen-seed must be a nonnegative integer, got -3",
                      id="train-toy-frozen-seed-negative"),
+        pytest.param("train-toy", ["--epochs", "-1"], None, "epochs must be nonnegative, got -1",
+                     id="train-toy-epochs-negative"),
+        pytest.param("train-toy", ["--lr", "-1"], None, "learning_rate must be nonnegative, got -1.0",
+                     id="train-toy-lr-negative"),
+        pytest.param("train-toy", ["--lr", "nan"], None, "learning_rate must be nonnegative, got nan",
+                     id="train-toy-lr-nan"),
     ])
     def test_exits_2(self, tmp_path, monkeypatch, capsys, command, flags, env, message):
         if env is None:

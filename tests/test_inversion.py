@@ -636,8 +636,27 @@ class TestProbeLosses:
     def test_every_coordinate_at_small_dims(self, variant, mode, seed, weight_scale):
         assert_probe_losses_match_batch_loss(variant, mode, SMALL, seed=seed, weight_scale=weight_scale)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_probes_are_pure_and_use_one_path(self, monkeypatch, variant):
+        """Every block's losses come from its probe: no batch_loss call, no parameter write."""
+        def no_batch_loss(*args):
+            raise AssertionError("gradcheck called batch_loss")
+
+        monkeypatch.setattr(inversion, "batch_loss", no_batch_loss)
+        frozen = build_frozen(SMALL, "categorical", 0)
+        params = init_encoder_params(SMALL, variant, 1)
+        before = {name: block.tobytes() for name, block in params.blocks().items()}
+        for block in params.blocks().values():
+            block.flags.writeable = False  # a write raises "assignment destination is read-only"
+        batch = prepare_batch(small_batch("categorical", seed=2), SMALL, "categorical")
+        losses = inversion._probe_losses(params, frozen, batch)
+        assert list(losses) == list(before)
+        assert {name: block.tobytes() for name, block in params.blocks().items()} == before
+        assert gradcheck(variant, "categorical", dims=SMALL, n_samples=2).passed
+
     @pytest.mark.parametrize("variant", [
-        "mlp", pytest.param("attnpos", marks=pytest.mark.slow),  # about 3 s of batch_loss probes
+        # about 3 s: the forward reruns of three blocks and the reference batch_loss calls
+        "mlp", pytest.param("attnpos", marks=pytest.mark.slow),
     ])
     @pytest.mark.parametrize("mode", ["regression", "categorical"])
     def test_spread_coordinates_at_default_dims(self, variant, mode):
@@ -648,8 +667,8 @@ class TestProbeLosses:
     ])
     def test_gradcheck_memory_at_default_dims(self, variant):
         dims = ModelDims()
-        # attnpos: the forward's cached (B, T, T) attention stays alive while each full
-        # batch_loss builds its own; about 5.9 MB, under three such arrays at gradcheck's B = 3
+        # attnpos: the forward's cached (B, T, T) attention stays alive while each rerun of
+        # the forward builds its own; about 5.9 MB, under three such arrays at gradcheck's B = 3
         bound = 8e6 if variant == "mlp" else 3 * (3 * dims.rhythm_len ** 2 * 8)
         tracemalloc.start()
         try:

@@ -182,6 +182,11 @@ class TestPhaseAlign:
         with pytest.raises(ValueError, match="finite"):
             phase_align(beats(1.0), beats(1.0), search_range=search_range, step=step)
 
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_non_positive_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            phase_align(beats(1.0), beats(1.0), step=step)
+
     @pytest.mark.parametrize("search_range,step", [
         (1e300, 1e-300), (math.nextafter(MAX_PHASE_STEPS, math.inf), 1.0),
     ])

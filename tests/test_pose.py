@@ -164,6 +164,16 @@ class TestInterpolate:
         np.testing.assert_array_equal(repaired.frames[:3, 0, 0], [7.0, 7.0, 7.0])
         np.testing.assert_array_equal(repaired.frames[:3, 0, 1], [7.0, 7.0, 7.0])
 
+    def test_threshold_of_one_repairs_every_lower_confidence(self):
+        xy = np.zeros((5, 1, 2))
+        xy[:, 0, 0] = np.arange(5)
+        frames = pose_from_xy(xy, conf=1.0).frames
+        frames[2, 0] = [99.0, 99.0, 0.999]
+        repaired = interpolate_low_confidence(PoseSequence(60.0, frames), threshold=1.0)
+        np.testing.assert_array_equal(repaired.frames[2, 0], [2.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="threshold must be in"):
+            interpolate_low_confidence(PoseSequence(60.0, frames), threshold=np.nextafter(1.0, 2.0))
+
     def test_joint_with_no_valid_frame_named(self):
         frames = np.zeros((5, 2, 3))
         frames[:, 0, 2] = 0.9
