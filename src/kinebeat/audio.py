@@ -16,9 +16,11 @@ centers straddle it, not a window-length earlier.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +139,8 @@ def read_wav(data: bytes) -> AudioClip:
     file decodes to the whole frames present. Anything else, including
     big-endian RIFX, raises ValueError.
 
-    Stereo is mixed to mono by channel average. 16-bit samples are scaled
+    Stereo is mixed to mono by channel average, (0 + left + right) / 2 in
+    that order, which is bitwise the row mean. 16-bit samples are scaled
     by 1/32768; float samples are clipped into [-1, 1]. The payload is
     viewed in place and converted _DECODE_BLOCK frames at a time.
     """
@@ -188,8 +191,10 @@ def read_wav(data: bytes) -> AudioClip:
             block /= 32768.0
         else:
             np.clip(block, -1.0, 1.0, out=block)
-        if channels == 2:
-            block.mean(axis=1, out=out)
+        if channels == 2:  # block.mean(axis=1) bitwise: its sum starts at 0, so -0.0 + -0.0 mixes to 0.0
+            np.add(0.0, block[:, 0], out=out)
+            out += block[:, 1]
+            out /= 2.0
     return AudioClip(sample_rate=sample_rate, samples=samples)
 
 
@@ -233,7 +238,15 @@ def onset_envelope(
 
     Frames are strided views of the samples, transformed in blocks of
     ONSET_BLOCK that overlap by one frame, so the working memory does not
-    grow with the clip's length.
+    grow with the clip's length. The calling thread runs every other block
+    and a helper thread, started for this call, the rest; numpy releases the
+    interpreter lock in these array operations, so the two halves overlap on
+    two cores. Each thread fills one block's worth of its own buffers in
+    place with the same arithmetic, so the envelope is bitwise the serial one
+    and the working memory is two blocks, however the threads interleave.
+    The helper runs in a copy of the caller's context, so it sees the
+    caller's np.errstate, and an exception it raises is raised again in the
+    caller once the helper is joined.
     """
     if not (window >= hop >= 1):
         raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
@@ -245,12 +258,35 @@ def onset_envelope(
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
     lead = window // (2 * hop)
     values = np.zeros(lead + n_frames)  # frame 0 has no predecessor; its flux stays 0
-    logmag = np.empty((ONSET_BLOCK, window // 2 + 1))  # reused: one array per block timed slower
-    for start in range(0, n_frames - 1, ONSET_BLOCK - 1):
-        n = min(ONSET_BLOCK, n_frames - start)
-        np.log1p(10.0 * np.abs(np.fft.rfft(frames[start : start + n] * hann, axis=1)), out=logmag[:n])
-        rise = np.maximum(0.0, logmag[1:n] - logmag[: n - 1])
-        values[lead + start + 1 : lead + start + n] = rise.sum(axis=1)
+
+    def flux(starts):
+        windowed = np.empty((ONSET_BLOCK, window))
+        spectrum = np.empty((ONSET_BLOCK, window // 2 + 1), dtype=np.complex128)
+        logmag, rise = np.empty(spectrum.shape), np.empty(spectrum.shape)
+        for start in starts:
+            n = min(ONSET_BLOCK, n_frames - start)
+            block, spec, mag, diff = windowed[:n], spectrum[:n], logmag[:n], rise[: n - 1]
+            np.multiply(frames[start : start + n], hann, out=block)
+            np.fft.rfft(block, axis=1, out=spec)
+            np.log1p(np.multiply(10.0, np.abs(spec, out=mag), out=mag), out=mag)
+            np.maximum(0.0, np.subtract(mag[1:], mag[:-1], out=diff), out=diff)
+            diff.sum(axis=1, out=values[lead + start + 1 : lead + start + n])
+
+    def helper_flux(starts):
+        try:
+            flux(starts)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    starts, errors = range(0, n_frames - 1, ONSET_BLOCK - 1), []
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_flux, starts[1::2]))
+    helper.start()
+    try:
+        flux(starts[::2])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 

@@ -11,6 +11,7 @@ positive_number and number_array check its values, and finite_array a data type'
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, replace
@@ -69,11 +70,19 @@ def load_json(data: bytes, what: str, parse_constant=None):
     """The JSON document in UTF-8 bytes; bad UTF-8 or JSON raises ValueError(f"{what}: ...").
 
     NaN and Infinity literals parse as floats unless parse_constant raises.
+    The cyclic garbage collector is off while json.loads runs, since a decoded
+    document holds no reference cycles and its rescans of the growing document
+    cost time; the collector's state is restored afterwards.
     """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(data.decode("utf-8"), parse_constant=parse_constant)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,10 @@ def parse_pose_file(data: bytes) -> PoseSequence:
     Rejects malformed JSON, NaN/Infinity literals, ragged joint counts,
     non-finite coordinates, out-of-range confidences, and T < 3. Errors
     name the offending frame index where one exists.
+
+    A file whose bytes hold no true or false, and whose frames convert in one
+    np.asarray to an int64 or float64 array of shape (T, J, 3), skips the
+    per-value loop; anything else takes it, and it alone words the errors.
     """
     doc = load_json(data, "malformed keypoint JSON", parse_constant=_reject_constant)
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
@@ -151,6 +164,14 @@ def parse_pose_file(data: bytes) -> PoseSequence:
     raw = doc["frames"]
     if not isinstance(raw, list) or len(raw) < 3:
         raise ValueError(f"need at least 3 frames, got {len(raw) if isinstance(raw, list) else 0}")
+    if b"true" not in data and b"false" not in data:  # np.asarray would take bools as numbers
+        try:  # no dtype: strings, nulls and ints past float64 land in U or O and take the loop
+            frames = np.asarray(raw)
+        except ValueError:  # ragged lists take the loop too
+            pass
+        else:
+            if frames.dtype in (np.int64, np.float64) and frames.ndim == 3 and frames.shape[2] == 3:
+                return PoseSequence(fps=doc["fps"], frames=frames)
     n_joints = None
     for t, frame in enumerate(raw):
         if not isinstance(frame, list):

@@ -1,10 +1,18 @@
-"""Shared synthetic fixtures (poses, oscillators, click-track WAVs) and the
-per-frame peak-picking loops that `windowed_peaks` replaced, kept verbatim
+"""Shared synthetic fixtures (poses, oscillators, click-track WAVs), the
+per-frame peak-picking loops that `windowed_peaks` replaced and the per-value
+pose parser that `parse_pose_file`'s one-conversion path skips, kept verbatim
 as references on plain arrays."""
 
 import io
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread unless the caller says otherwise, set before numpy loads: on a
+# 2-core host, two unpinned suites side by side spent 57-59 s each in an attnpos
+# gradcheck test that takes 2.5 s when both are pinned
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
@@ -12,7 +20,7 @@ from scipy.io import wavfile
 
 sys.path.insert(0, str(Path(__file__).parent))  # for tests.oracles as plain `oracles`
 
-from kinebeat.pose import PoseSequence
+from kinebeat.pose import PoseSequence, _reject_constant, json_number, load_json
 
 
 def pose_from_xy(xy, fps=60.0, conf=1.0):
@@ -123,6 +131,33 @@ def pick_beats_loop(v, frame_rate, window, delta):
         if v[t] >= seg.max() and v[t] >= seg.mean() + delta * sigma:
             times.append(t / frame_rate)
     return np.asarray(times, dtype=np.float64)
+
+
+def parse_pose_loop(data: bytes) -> PoseSequence:
+    """parse_pose_file as it was before its one-conversion path: every value checked in a loop."""
+    doc = load_json(data, "malformed keypoint JSON", parse_constant=_reject_constant)
+    if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
+        raise ValueError('keypoint JSON must be an object with "fps" and "frames"')
+    raw = doc["frames"]
+    if not isinstance(raw, list) or len(raw) < 3:
+        raise ValueError(f"need at least 3 frames, got {len(raw) if isinstance(raw, list) else 0}")
+    n_joints = None
+    for t, frame in enumerate(raw):
+        if not isinstance(frame, list):
+            raise ValueError(f"frame {t} is not a list of keypoints")
+        if n_joints is None:
+            n_joints = len(frame)
+            if n_joints < 1:
+                raise ValueError("frame 0 has no joints")
+        elif len(frame) != n_joints:
+            raise ValueError(f"ragged joints at frame {t}: expected {n_joints}, got {len(frame)}")
+        what = f"keypoint value at frame {t}"
+        for kp in frame:
+            if not isinstance(kp, list) or len(kp) != 3:
+                raise ValueError(f"bad keypoint at frame {t}: expected [x, y, confidence]")
+            for v in kp:
+                json_number(v, what)
+    return PoseSequence(fps=doc["fps"], frames=np.asarray(raw, dtype=np.float64))
 
 
 @pytest.fixture

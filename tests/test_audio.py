@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -223,6 +224,32 @@ class TestWavDecoderContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16])
+    def test_stereo_mixdown_is_bitwise_the_row_mean(self, dtype):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        if dtype is np.float32:
+            pairs = [
+                (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0),
+                (tiny, -0.0), (-tiny, 0.0), (tiny, -tiny), (3 * tiny, tiny), (-tiny, -tiny),
+                (1.0, 1.0), (-1.0, -1.0), (1.5, -3.0), (np.inf, -np.inf), (np.inf, 0.25), (-2.0, 1.0),
+                (0.25, -0.25), (0.1, -0.1), (1.0, -1.0), (0.75, 0.75),
+            ]
+        else:
+            pairs = [(0, 0), (32767, 32767), (-32768, -32768), (-32768, 32767), (1, -1), (-1, -1),
+                     (12345, -12345), (-32768, 0), (1, 0)]
+        stereo = np.array(pairs, dtype=dtype)
+        # the same pairs again among random ones, past one conversion block
+        rng = np.random.default_rng(17)
+        noise = (rng.uniform(-1.2, 1.2, size=(70_000, 2)).astype(np.float32) if dtype is np.float32
+                 else rng.integers(-32768, 32768, size=(70_000, 2)).astype(np.int16))
+        noise[-len(pairs):] = stereo
+        for array in (stereo, noise):
+            data = _scipy_wav(array)
+            scale = 1.0 / 32768.0 if dtype is np.int16 else 1.0
+            block = np.clip(array.astype(np.float64) * scale, -1.0, 1.0)
+            assert read_wav(data).samples.tobytes() == block.mean(axis=1).tobytes()
+            assert read_wav(data).samples.tobytes() == reference_read_wav(data)[1].tobytes()
+
     def test_payload_is_decoded_in_place(self):
         # a minute of stereo float32: beyond the float64 mono result, only
         # fixed-size conversion blocks are allocated, never a copy of the payload
@@ -284,6 +311,50 @@ class TestBlockedEnvelope:
         short, long = peak_bytes(30), peak_bytes(240)
         assert abs(long - short) < 1e6
         assert max(short, long) < 30e6
+
+
+class TestOnsetHelperThread:
+    """onset_envelope's second half runs in a helper thread with the caller's numpy
+    error state; its failures come back to the caller and no thread outlives a call."""
+
+    # ten seconds scaled to 1e306: four blocks, each overflowing 10 * |X|
+    HUGE = AudioClip(SR, np.random.default_rng(306).uniform(-1, 1, 10 * SR) * 1e306)
+
+    def test_ignored_overflow_warns_nowhere_and_ends_in_value_error(self):
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="envelope values must be finite"):
+                onset_envelope(self.HUGE)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert threading.active_count() == threads
+
+    def test_raised_overflow_reaches_the_caller(self):
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            onset_envelope(self.HUGE)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_failed_block_raises_in_the_caller(self, failing, monkeypatch):
+        class BlockFailed(Exception):
+            pass
+
+        caller, rfft, threads_seen = threading.get_ident(), np.fft.rfft, set()
+
+        def rfft_failing_in_one_thread(*args, **kwargs):
+            threads_seen.add(threading.get_ident())
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise BlockFailed(failing)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_failing_in_one_thread)
+        clip = AudioClip(SR, np.random.default_rng(7).uniform(-1, 1, 10 * SR))  # four blocks
+        threads = threading.active_count()
+        with pytest.raises(BlockFailed, match=failing):
+            onset_envelope(clip)
+        assert threading.active_count() == threads
+        assert caller in threads_seen and len(threads_seen) == 2
 
 
 def test_cli_import_leaves_scipy_unloaded():

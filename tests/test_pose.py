@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 from pathlib import Path
 
@@ -8,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinebeat
+from kinebeat import pose
 from kinebeat.audio import AudioClip, OnsetEnvelope
 from kinebeat.pose import (
     ClipSpec,
     PoseSequence,
     interpolate_low_confidence,
+    load_json,
     parse_pose_file,
     segment_clips,
     serialize_pose_file,
 )
 
-from conftest import pose_from_xy, random_pose_frames
+from conftest import parse_pose_loop, pose_from_xy, random_pose_frames
 
 
 def make_file(fps, frames):
@@ -133,6 +136,116 @@ class TestParse:
         again = parse_pose_file(serialize_pose_file(seq))
         assert again.fps == seq.fps
         np.testing.assert_array_equal(again.frames, seq.frames)
+
+
+# JSON number texts at the edges of the one-conversion path: ints near 2**53, in
+# [2**63, 2**64) and past them, a 400-digit int, and floats that overflow to inf
+EDGE_NUMBERS = [
+    "0", "-0", "-0.0", "1", "0.5", "1.0", "1e-320", str(2**53 - 1), str(2**53 + 1), str(-(2**53) - 3),
+    str(2**63 - 1), str(2**63), str(2**63 + 1), str(2**64 - 1), str(2**64), str(-(2**63) - 1),
+    "1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400", "1.7976931348623157e308",
+]
+NOT_NUMBERS = ["true", "false", "null", '"1.5"', '"x"', "[1]", "[]", "{}", "NaN", "Infinity"]
+
+
+def _number_text():
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+        st.integers(-(2**70), 2**70).map(str),
+        st.integers(2**53 - 8, 2**53 + 8).map(str),
+        st.integers(2**63, 2**64 - 1).map(str),
+        st.floats(0.0, 1.0).map(json.dumps),  # a confidence, so that some files are valid
+        st.sampled_from(EDGE_NUMBERS),
+    )
+
+
+@st.composite
+def pose_documents(draw):
+    """Keypoint JSON text: mostly plain numbers, sometimes a non-number, a ragged or
+    empty frame, a keypoint of the wrong length, or a `true` in an unrelated key."""
+    n_frames, n_joints = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+    value = st.one_of(_number_text(), st.sampled_from(NOT_NUMBERS)) if draw(st.booleans()) else _number_text()
+    frames = [[[draw(value) for _ in range(3)] for _ in range(n_joints)] for _ in range(n_frames)]
+    t = draw(st.integers(0, n_frames - 1))
+    damage = draw(st.sampled_from([
+        "none", "none", "ragged", "no-joints", "short-keypoint", "long-keypoint",
+        "every-keypoint-short", "every-value-wrapped", "frames-of-numbers",
+    ]))
+    if damage == "ragged":
+        frames[t] = frames[t][:-1] if n_joints > 1 else frames[t] + frames[t]
+    elif damage == "no-joints":
+        frames[t] = []
+    elif damage.endswith("-keypoint"):
+        frames[t][0] = frames[t][0][:2] if damage == "short-keypoint" else frames[t][0] + ["0"]
+    elif damage == "every-keypoint-short":  # (T, J, 2) as one array
+        frames = [[kp[:2] for kp in f] for f in frames]
+    elif damage == "every-value-wrapped":  # (T, J, 3, 1)
+        frames = [[[f"[{v}]" for v in kp] for kp in f] for f in frames]
+    body = "[" + ", ".join("[" + ", ".join("[" + ", ".join(kp) + "]" for kp in f) + "]" for f in frames) + "]"
+    if damage == "frames-of-numbers":  # (T, 3)
+        body = "[" + ", ".join("[" + ", ".join(f[0]) + "]" for f in frames) + "]"
+    extra = ', "note": "true"' if draw(st.booleans()) else ""
+    fps = draw(st.sampled_from(["60", "29.97", "0", "true", '"60"']))
+    return f'{{"fps": {fps}, "frames": {body}{extra}}}'.encode()
+
+
+def outcome(parse, data):
+    """What parse makes of data: the fps and the frames' bytes, or the error's type and text."""
+    try:
+        seq = parse(data)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return seq.fps, seq.frames.dtype.str, seq.frames.shape, seq.frames.tobytes()
+
+
+class TestOneConversionPath:
+    """parse_pose_file against the per-value loop it skips on files of plain numbers."""
+
+    @given(pose_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_value_loop(self, data):
+        assert outcome(parse_pose_file, data) == outcome(parse_pose_loop, data)
+
+    @pytest.mark.parametrize("text", EDGE_NUMBERS + NOT_NUMBERS)
+    def test_every_edge_value_matches_the_per_value_loop(self, text):
+        for where in range(3):  # the value in x, y, then confidence of frame 1
+            kp = ["0.5"] * 3
+            kp[where] = text
+            data = ('{"fps": 60, "frames": [[[1, 2, 0.5]], [[%s]], [[1, 2.5, 1]]]}' % ", ".join(kp)).encode()
+            assert outcome(parse_pose_file, data) == outcome(parse_pose_loop, data)
+
+    def test_plain_numbers_skip_the_loop_and_a_true_anywhere_takes_it(self, monkeypatch, rng):
+        frames = random_pose_frames(rng, 20, 4).tolist()
+        frames[3][1] = [7, -2, 1]  # ints among the floats still convert in one go
+        checked = []
+        monkeypatch.setattr(pose, "json_number", lambda v, what: checked.append(what) or float(v))
+        plain = make_file(60, frames)
+        np.testing.assert_array_equal(parse_pose_file(plain).frames, np.asarray(frames))
+        assert checked == ["fps"]
+        checked.clear()
+        flagged = json.dumps({"fps": 60, "frames": frames, "true": "false"}).encode()
+        np.testing.assert_array_equal(parse_pose_file(flagged).frames, np.asarray(frames))
+        assert len(checked) == 1 + 20 * 4 * 3
+
+
+class TestLoadJsonCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("data", [b'{"a": [1, 2]}', b'{"a": [1, 2'])
+    def test_collector_state_restored(self, enabled, data, monkeypatch):
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: seen.append(gc.isenabled()) or loads(*a, **k))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_json(data, "doc")
+            except ValueError:
+                assert data.endswith(b"2")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
 
 class TestInterpolate:
