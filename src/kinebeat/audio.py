@@ -224,6 +224,15 @@ def _wav_layout(data: bytes, pos: int, size: int) -> tuple:
     return sample_rate, channels, dtype
 
 
+def _started(thread: threading.Thread) -> bool:
+    """Start thread; False when the process cannot start another one."""
+    try:
+        thread.start()
+    except RuntimeError:
+        return False
+    return True
+
+
 def onset_envelope(
     clip: AudioClip, window: int = DEFAULT_STFT_WINDOW, hop: int = DEFAULT_STFT_HOP
 ) -> OnsetEnvelope:
@@ -241,12 +250,14 @@ def onset_envelope(
     grow with the clip's length. The calling thread runs every other block
     and a helper thread, started for this call, the rest; numpy releases the
     interpreter lock in these array operations, so the two halves overlap on
-    two cores. Each thread fills one block's worth of its own buffers in
-    place with the same arithmetic, so the envelope is bitwise the serial one
-    and the working memory is two blocks, however the threads interleave.
-    The helper runs in a copy of the caller's context, so it sees the
-    caller's np.errstate, and an exception it raises is raised again in the
-    caller once the helper is joined.
+    two cores. A clip of one block, or a process that cannot start a thread,
+    runs every block in the calling thread. Each thread fills one block's
+    worth of its own buffers in place with the same arithmetic, so the
+    envelope is bitwise the serial one and the working memory is two blocks,
+    however the threads interleave. The helper runs in a copy of the
+    caller's context, so it sees the caller's np.errstate (context-local
+    since numpy 2.0, as is rfft's out=), and an exception it raises is
+    raised again in the caller once the helper is joined.
     """
     if not (window >= hop >= 1):
         raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
@@ -272,21 +283,24 @@ def onset_envelope(
             np.maximum(0.0, np.subtract(mag[1:], mag[:-1], out=diff), out=diff)
             diff.sum(axis=1, out=values[lead + start + 1 : lead + start + n])
 
-    def helper_flux(starts):
+    starts, errors = range(0, n_frames - 1, ONSET_BLOCK - 1), []
+
+    def helper_flux():
         try:
-            flux(starts)
+            flux(starts[1::2])
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
-    starts, errors = range(0, n_frames - 1, ONSET_BLOCK - 1), []
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_flux, starts[1::2]))
-    helper.start()
-    try:
-        flux(starts[::2])
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_flux,))
+    if len(starts) > 1 and _started(helper):
+        try:
+            flux(starts[::2])
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+    else:  # one block, or no thread to be had: the caller runs every block
+        flux(starts)
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 

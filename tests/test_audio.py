@@ -315,7 +315,8 @@ class TestBlockedEnvelope:
 
 class TestOnsetHelperThread:
     """onset_envelope's second half runs in a helper thread with the caller's numpy
-    error state; its failures come back to the caller and no thread outlives a call."""
+    error state; its failures come back to the caller and no thread outlives a call.
+    With one block, or no thread to be had, the caller runs every block."""
 
     # ten seconds scaled to 1e306: four blocks, each overflowing 10 * |X|
     HUGE = AudioClip(SR, np.random.default_rng(306).uniform(-1, 1, 10 * SR) * 1e306)
@@ -331,8 +332,11 @@ class TestOnsetHelperThread:
 
     def test_raised_overflow_reaches_the_caller(self):
         threads = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            onset_envelope(self.HUGE)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="raise"):
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                onset_envelope(self.HUGE)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
@@ -355,6 +359,33 @@ class TestOnsetHelperThread:
             onset_envelope(clip)
         assert threading.active_count() == threads
         assert caller in threads_seen and len(threads_seen) == 2
+
+    @pytest.mark.parametrize("seconds, helpers", [(1, 0), (4, 1)])  # one block, two blocks
+    def test_a_helper_starts_only_when_a_second_block_exists(self, seconds, helpers, monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        onset_envelope(AudioClip(SR, np.random.default_rng(8).uniform(-1, 1, seconds * SR)))
+        assert len(started) == helpers
+
+    def test_no_thread_to_start_runs_every_block_in_the_caller(self, monkeypatch):
+        clip = AudioClip(SR, np.random.default_rng(9).uniform(-1, 1, 10 * SR))  # four blocks
+        expected = onset_envelope(clip).values
+
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        caller, rfft, threads_seen = threading.get_ident(), np.fft.rfft, set()
+
+        def rfft_recording_thread(*args, **kwargs):
+            threads_seen.add(threading.get_ident())
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        monkeypatch.setattr(np.fft, "rfft", rfft_recording_thread)
+        threads = threading.active_count()
+        assert onset_envelope(clip).values.tobytes() == expected.tobytes()
+        assert threads_seen == {caller}
+        assert threading.active_count() == threads
 
 
 def test_cli_import_leaves_scipy_unloaded():
