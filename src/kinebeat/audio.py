@@ -62,10 +62,6 @@ class AudioClip:
         if len(samples) < 1:
             raise ValueError("samples must be a non-empty mono vector")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class OnsetEnvelope:
@@ -89,7 +85,7 @@ class BeatList:
     def __post_init__(self):
         times = finite_array(self.times, "beat times", 1, nonnegative=True)
         object.__setattr__(self, "times", times)
-        if len(times) > 1 and not (np.diff(times) > 0).all():
+        if not (np.diff(times) > 0).all():
             raise ValueError("beat times must be strictly ascending")
 
     def __len__(self) -> int:

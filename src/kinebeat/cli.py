@@ -2,8 +2,8 @@
 
 One binary, six subcommands: extract-rhythm, detect-beats, evaluate, tempo,
 train-toy, gradcheck. Exit codes: 0 success, 1 check failure (gradcheck),
-2 input or usage error. Machine-readable output is JSON by default; the
-evaluate subcommand can also emit CSV rows per clip plus a summary row.
+2 input or usage error: one "error:" line, naming the file if one fails to parse.
+Output is JSON by default; evaluate can also emit CSV rows per clip and a summary.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _read_file(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _write_output(payload: str, output) -> None:
@@ -58,14 +58,27 @@ def _write_output(payload: str, output) -> None:
         Path(output).write_text(payload, encoding="utf-8")
 
 
-def _load_beats(path: str) -> audio.BeatList:
+def _parse_file(path, parse):
+    """parse(the bytes of path); a ValueError from parse names the file."""
+    data = _read_file(path)
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_beats(data: bytes) -> audio.BeatList:
     """Accept either a beats JSON or a rhythm JSON (converted to beat times)."""
-    doc = pose.load_json(_read_file(path), f"{path}: malformed JSON")
+    doc = pose.load_json(data, "malformed JSON")
     if isinstance(doc, dict) and "beats_sec" in doc:
         return audio.BeatList.from_json_dict(doc)
     if isinstance(doc, dict) and "bits" in doc:
         return audio.beats_from_rhythm(rhythm.RhythmSequence.from_json_dict(doc))
-    raise ValueError(f'{path}: expected "beats_sec" or a rhythm file with "bits"')
+    raise ValueError('expected "beats_sec" or a rhythm file with "bits"')
+
+
+def _load_beats(path: str) -> audio.BeatList:  # the benchmark replay traces it by name
+    return _parse_file(path, _parse_beats)
 
 
 def _cmd_extract_rhythm(args) -> int:
@@ -81,7 +94,7 @@ def _cmd_extract_rhythm(args) -> int:
     except ValueError:
         raise ValueError(f'--clip must be a number of seconds or "none", got {args.clip!r}') from None
     spec = None if seconds is None else pose.ClipSpec(duration=seconds)
-    seq = pose.parse_pose_file(_read_file(args.poses))
+    seq = _parse_file(args.poses, pose.parse_pose_file)
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
     if spec is None:
         outputs = {base: seq}
@@ -98,7 +111,7 @@ def _cmd_extract_rhythm(args) -> int:
 
 
 def _cmd_detect_beats(args) -> int:
-    clip = audio.read_wav(_read_file(args.audio))
+    clip = _parse_file(args.audio, audio.read_wav)
     env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
     beats = audio.pick_beats(env, window=args.peak_window, delta=args.delta)
     _write_output(beats.to_json().decode("utf-8"), args.output)
@@ -106,7 +119,7 @@ def _cmd_detect_beats(args) -> int:
 
 
 def _cmd_tempo(args) -> int:
-    clip = audio.read_wav(_read_file(args.audio))
+    clip = _parse_file(args.audio, audio.read_wav)
     env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
     estimate = audio.estimate_tempo(env, bpm_min=args.bpm_min, bpm_max=args.bpm_max)
     _write_output(estimate.to_json().decode("utf-8"), args.output)
@@ -168,8 +181,8 @@ def _cmd_evaluate(args) -> int:
     if len(reports) > 1:
         doc["summary"] = metrics.aggregate_reports(reports).to_json_dict()
     if args.tempo_gen:
-        t_gen = audio.TempoEstimate.from_json(_read_file(args.tempo_gen))
-        t_ref = audio.TempoEstimate.from_json(_read_file(args.tempo_ref))
+        t_gen = _parse_file(args.tempo_gen, audio.TempoEstimate.from_json)
+        t_ref = _parse_file(args.tempo_ref, audio.TempoEstimate.from_json)
         doc["tempo_difference_bpm"] = metrics.tempo_difference(t_gen, t_ref)
     _write_output(json.dumps(doc, indent=2), args.output)
     return 0
@@ -183,15 +196,13 @@ def _cmd_train_toy(args) -> int:
     files = sorted(data_dir.glob("*.json"))
     if not files:
         raise ValueError(f"no *.json samples found in {data_dir}")
-    dataset = []
-    for path in files:
-        data = _read_file(str(path))
-        try:
-            sample = inversion.sample_from_json_dict(pose.load_json(data, "malformed JSON"))
-            inversion.prepare_batch([sample], inversion.ModelDims(), args.mode)
-        except ValueError as exc:  # malformed UTF-8 or JSON, or a bad sample
-            raise ValueError(f"{path}: {exc}") from exc
-        dataset.append(sample)
+
+    def parse_sample(data: bytes) -> inversion.Sample:
+        sample = inversion.sample_from_json_dict(pose.load_json(data, "malformed JSON"))
+        inversion.prepare_batch([sample], inversion.ModelDims(), args.mode)
+        return sample
+
+    dataset = [_parse_file(str(path), parse_sample) for path in files]
     result = inversion.train(config, dataset)
     out = Path(args.output) if args.output else Path("checkpoint.json")
     out.write_bytes(inversion.checkpoint_bytes(result))
@@ -208,8 +219,13 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error ends as bad input does: main's one error line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinebeat",
         description="Kinematic rhythm extraction, musical beat detection, and alignment metrics.",
     )
@@ -297,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # the data types refuse a non-finite result themselves
             return args.func(args)
     except (ValueError, OSError) as exc:

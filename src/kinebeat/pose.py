@@ -119,10 +119,6 @@ class PoseSequence:
     def n_joints(self) -> int:
         return self.frames.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_frames / self.fps
-
     def xy(self) -> np.ndarray:
         """The (T, J, 2) coordinate block, without confidences."""
         return self.frames[:, :, :2]
@@ -216,8 +212,6 @@ def interpolate_low_confidence(
     t_all = np.arange(seq.n_frames)
     for j in range(seq.n_joints):
         bad = invalid[:, j]
-        if not bad.any():
-            continue
         if bad.all():
             raise ValueError(f"joint {j} has no frame with confidence >= {threshold}")
         good = ~bad

@@ -37,18 +37,28 @@ DEFAULT_MIN_REL = 0.05
 
 
 @dataclass(frozen=True)
-class VelocityField:
-    """Per-joint (vx, vy) in pixels/frame; shape (T-1, J, 2)."""
+class _FrameField:
+    """A positive fps and a finite array of RANK axes, >= 0 if NONNEGATIVE, called NAME in errors."""
 
     fps: float
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = finite_array(self.values, "velocity values", 3)
+        values = finite_array(self.values, self.NAME, self.RANK, nonnegative=self.NONNEGATIVE)
         object.__setattr__(self, "values", values)
-        if values.shape[2] != 2:
-            raise ValueError(f"velocity values must have shape (T-1, J, 2), got {values.shape}")
+
+
+@dataclass(frozen=True)
+class VelocityField(_FrameField):
+    """Per-joint (vx, vy) in pixels/frame; shape (T-1, J, 2)."""
+
+    NAME, RANK, NONNEGATIVE = "velocity values", 3, False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.values.shape[2] != 2:
+            raise ValueError(f"velocity values must have shape (T-1, J, 2), got {self.values.shape}")
 
 
 @dataclass(frozen=True)
@@ -87,29 +97,17 @@ class DirectionalVelocity:
 
 
 @dataclass(frozen=True)
-class DiscreteAcceleration:
+class DiscreteAcceleration(_FrameField):
     """Half-wave-rectified temporal difference of binned velocity, summed over bins; shape (T-2, J)."""
 
-    fps: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = finite_array(self.values, "rectified accelerations", 2, nonnegative=True)
-        object.__setattr__(self, "values", values)
+    NAME, RANK, NONNEGATIVE = "rectified accelerations", 2, True
 
 
 @dataclass(frozen=True)
-class TotalAcceleration:
+class TotalAcceleration(_FrameField):
     """Sum of rectified accelerations over joints and bins; shape (T-2,)."""
 
-    fps: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        values = finite_array(self.values, "total acceleration", 1, nonnegative=True)
-        object.__setattr__(self, "values", values)
+    NAME, RANK, NONNEGATIVE = "total acceleration", 1, True
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,9 @@ class TestExtractRhythm:
         assert main(["extract-rhythm", "--poses", "/nonexistent.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["extract-rhythm", "--poses", "x.json", "--bogus"])
-        assert exc.value.code == 2
+    def test_unknown_flag_exits_2(self, capsys):
+        assert main(["extract-rhythm", "--poses", "x.json", "--bogus"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
 
 class TestDetectBeats:
@@ -207,6 +206,31 @@ class TestEvaluate:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["evaluate", "--gen", str(bad), "--ref", str(bad)]) == 2
+
+    def test_error_names_the_bad_file_among_several(self, tmp_path, capsys):
+        good = tmp_path / "a.json"
+        good.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
+        bad = tmp_path / "b.json"
+        bad.write_text('{"beats_sec": [1.0, 0.5]}')
+        assert main(["evaluate", "--gen", str(good), str(bad), "--ref", str(good), str(good)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: beat times must be strictly ascending\n"
+
+    def test_error_names_a_bad_tempo_ref(self, tmp_path, capsys):
+        beats = tmp_path / "beats.json"
+        beats.write_bytes(BeatList(times=np.array([1.0])).to_json())
+        tg = tmp_path / "tg.json"
+        tg.write_text('{"bpm": 120.0}')
+        tr = tmp_path / "tr.json"
+        tr.write_text('{"bpm": -1}')
+        assert main(["evaluate", "--gen", str(beats), "--ref", str(beats),
+                     "--tempo-gen", str(tg), "--tempo-ref", str(tr)]) == 2
+        assert capsys.readouterr().err == f"error: {tr}: bpm must be a positive finite number, got -1\n"
+
+    def test_unreadable_file_named_once(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["evaluate", "--gen", str(missing), "--ref", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: ") and err.count(str(missing)) == 1
 
 
 class TestTempo:
@@ -611,6 +635,15 @@ class TestBadSeeds:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", [[], ["extract-rhythm"], ["detect-beats"], ["evaluate"],
+                                         ["tempo"], ["train-toy"], ["gradcheck"]])
+    def test_help_still_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: kinebeat") and captured.err == ""
+
     @staticmethod
     def options():
         """(command, action) for every option of every subcommand except -h."""

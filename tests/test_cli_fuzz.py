@@ -5,7 +5,8 @@ silent exit 0: JSON values that are not numbers where numbers belong
 (400-digit ints, bools, null, strings, lists, objects, NaN and Infinity
 literals), a UTF-8 BOM, invalid UTF-8, truncated documents, 100 000 nested
 arrays, truncated RIFF files, NaN thresholds and numeric flags whose frame
-count overflows.
+count overflows; and usage errors (unknown flags, values that do not convert, missing
+values or subcommands), which once printed a usage block and raised SystemExit.
 """
 
 import io
@@ -16,6 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +80,17 @@ BAD_FLAGS = [
     ["train-toy", "--epochs", "-1"],
 ]
 
+# argparse usage errors, which end as bad input does: no usage block and no SystemExit
+USAGE_ERRORS = [
+    ["extract-rhythm", "--poses", "p.json", "--bogus"],
+    ["extract-rhythm", "--poses", "p.json", "--bins", "abc"],
+    ["gradcheck", "--seed", "1.5"],
+    ["detect-beats", "--audio"],
+    ["train-toy", "--data", "d", "--variant", "nope"],
+    ["tempo", "--bpm-min", "60"],
+    [],
+]
+
 
 @st.composite
 def bad_numbers(draw):
@@ -105,7 +118,7 @@ def corrupt_documents(draw):
 def truncated_wavs(draw):
     # fewer samples than the one STFT window detect-beats and tempo need, or a cut inside a sample
     end = draw(st.integers(0, WAV_HEADER + 2 * DEFAULT_STFT_WINDOW - 1))
-    return draw(st.sampled_from(["detect-beats", "tempo"])), WAV[:end]
+    return draw(st.sampled_from(["detect-beats.wav", "tempo.wav"])), WAV[:end]
 
 
 def _argv(kind, payload, tmp: Path) -> tuple:
@@ -130,9 +143,11 @@ def _argv(kind, payload, tmp: Path) -> tuple:
         return [*good[command], *flags, *out], {}
     if kind == "seed":
         return ["gradcheck", *out], {ENV_SEED: payload}
+    if kind == "usage":
+        return list(payload), {}
     bad.write_bytes(payload)
-    if kind in ("detect-beats", "tempo"):
-        return [kind, "--audio", str(bad), *out], {}
+    if kind.endswith(".wav"):  # "<command>.wav": a WAV for that command
+        return [kind.removesuffix(".wav"), "--audio", str(bad), *out], {}
     if kind == "poses":
         return ["extract-rhythm", "--poses", str(bad), *out], {}
     if kind in ("beats", "rhythm"):
@@ -150,6 +165,7 @@ BAD_INPUTS = st.one_of(
     truncated_wavs(),
     st.tuples(st.just("flags"), st.sampled_from(BAD_FLAGS)),
     st.tuples(st.just("seed"), st.sampled_from(["", "x", "1.5", "nan", "0x10"])),
+    st.tuples(st.just("usage"), st.sampled_from(USAGE_ERRORS)),
 )
 
 
@@ -165,4 +181,15 @@ def test_bad_input_exits_2_with_one_error_line(case):
     message = err.getvalue()
     assert code == 2, (argv, message)
     assert message.startswith("error: ") and message.count("\n") == 1, message
-    assert "Traceback" not in message
+    assert "Traceback" not in message and "usage:" not in message
+    if kind in DOCUMENTS:  # a JSON input is refused while it is parsed, and named once
+        named = Path(tmp) / ("data/s.json" if kind == "sample" else "bad")
+        assert message.count(str(named)) == 1, message
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_error_exits_2_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "usage:" not in captured.err
