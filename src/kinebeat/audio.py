@@ -16,17 +16,15 @@ centers straddle it, not a window-length earlier.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .pose import finite_array, load_json, number_array, positive_number
+from .pose import finite_array, load_json, number_array, positive_number, run_on_two_threads
 from .rhythm import RhythmSequence, peak_half_window, windowed_peaks
 
 DEFAULT_STFT_WINDOW = 1024
@@ -220,15 +218,6 @@ def _wav_layout(data: bytes, pos: int, size: int) -> tuple:
     return sample_rate, channels, dtype
 
 
-def _started(thread: threading.Thread) -> bool:
-    """Start thread; False when the process cannot start another one."""
-    try:
-        thread.start()
-    except RuntimeError:
-        return False
-    return True
-
-
 def onset_envelope(
     clip: AudioClip, window: int = DEFAULT_STFT_WINDOW, hop: int = DEFAULT_STFT_HOP
 ) -> OnsetEnvelope:
@@ -243,17 +232,12 @@ def onset_envelope(
 
     Frames are strided views of the samples, transformed in blocks of
     ONSET_BLOCK that overlap by one frame, so the working memory does not
-    grow with the clip's length. The calling thread runs every other block
-    and a helper thread, started for this call, the rest; numpy releases the
-    interpreter lock in these array operations, so the two halves overlap on
-    two cores. A clip of one block, or a process that cannot start a thread,
-    runs every block in the calling thread. Each thread fills one block's
-    worth of its own buffers in place with the same arithmetic, so the
-    envelope is bitwise the serial one and the working memory is two blocks,
-    however the threads interleave. The helper runs in a copy of the
-    caller's context, so it sees the caller's np.errstate (context-local
-    since numpy 2.0, as is rfft's out=), and an exception it raises is
-    raised again in the caller once the helper is joined.
+    grow with the clip's length. The blocks are split over the calling
+    thread and a helper thread by pose.run_on_two_threads (rfft's out=
+    needs numpy 2.0). Each thread fills its own buffers, of at most
+    ONSET_BLOCK rows and never more rows than the clip has frames, in place
+    with the same arithmetic, so the envelope is bitwise the serial one and
+    the working memory is two blocks, however the threads interleave.
     """
     if not (window >= hop >= 1):
         raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
@@ -267,8 +251,9 @@ def onset_envelope(
     values = np.zeros(lead + n_frames)  # frame 0 has no predecessor; its flux stays 0
 
     def flux(starts):
-        windowed = np.empty((ONSET_BLOCK, window))
-        spectrum = np.empty((ONSET_BLOCK, window // 2 + 1), dtype=np.complex128)
+        rows = min(ONSET_BLOCK, n_frames)
+        windowed = np.empty((rows, window))
+        spectrum = np.empty((rows, window // 2 + 1), dtype=np.complex128)
         logmag, rise = np.empty(spectrum.shape), np.empty(spectrum.shape)
         for start in starts:
             n = min(ONSET_BLOCK, n_frames - start)
@@ -279,24 +264,7 @@ def onset_envelope(
             np.maximum(0.0, np.subtract(mag[1:], mag[:-1], out=diff), out=diff)
             diff.sum(axis=1, out=values[lead + start + 1 : lead + start + n])
 
-    starts, errors = range(0, n_frames - 1, ONSET_BLOCK - 1), []
-
-    def helper_flux():
-        try:
-            flux(starts[1::2])
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(helper_flux,))
-    if len(starts) > 1 and _started(helper):
-        try:
-            flux(starts[::2])
-        finally:
-            helper.join()
-        if errors:
-            raise errors[0]
-    else:  # one block, or no thread to be had: the caller runs every block
-        flux(starts)
+    run_on_two_threads(flux, range(0, n_frames - 1, ONSET_BLOCK - 1))
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 

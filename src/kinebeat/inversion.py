@@ -14,8 +14,12 @@ Gradients are hand-derived and verified against central finite differences;
 `gradcheck` reports the worst relative error per parameter block, each
 block's probes stacked into one loss per block row.
 
-All arithmetic is float64 and single-threaded, so a (seed, config, dataset)
-triple reproduces parameters and checkpoints bit for bit.
+All arithmetic is float64, so a (seed, config, dataset) triple reproduces
+parameters and checkpoints bit for bit. The attnpos projector splits its
+per-sample attention blocks over two threads (pose.run_on_two_threads), but
+each sample's block is computed whole by one thread, with the serial
+arithmetic, into rows that only that thread writes, so no sum changes its
+order and no byte depends on how the threads interleave.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .pose import finite_array, load_json, number_array, positive_number
+from .pose import finite_array, load_json, number_array, positive_number, run_on_two_threads
 
 PROMPT_WORDS = ("a", "@", "music", "with", "*", "as", "the", "rhythm")
 GENRE_SLOT = PROMPT_WORDS.index("@")
@@ -165,12 +169,17 @@ class AttnPosProjector:
         n, t = rhythms.shape
         attn = np.empty((n, t, t))
         col = np.empty((n, t))
-        # one sample's (T, T) block at a time, so it stays in cache across its passes
-        for b, s in enumerate(attn):
-            np.matmul(q[b], k[b].T, out=s)  # the scores, turned into softmax rows in place
-            _softmax_rows(s, scale)
-            # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
-            col[b] = s.mean(axis=0)
+
+        def blocks(samples):
+            # one sample's (T, T) block at a time, so it stays in cache across its passes
+            for b in samples:
+                s = attn[b]
+                np.matmul(q[b], k[b].T, out=s)  # the scores, turned into softmax rows in place
+                _softmax_rows(s, scale)
+                # the mean over query rows commutes with "@ v": pool = colmean(attn) @ v
+                col[b] = s.mean(axis=0)
+
+        run_on_two_threads(blocks, range(n))
         pool = (col[:, None, :] @ v)[:, 0]
         return pool @ self.w_out.T + self.b_out, (x, q, k, v, attn, col, pool, scale)
 
@@ -182,13 +191,18 @@ class AttnPosProjector:
         dv = col[:, :, None] * dpool[:, None, :]
         dq = np.empty_like(q)
         dk = np.empty_like(k)
-        ds = np.empty(attn.shape[1:])  # the softmax backward of one sample
-        for b, a in enumerate(attn):
-            np.subtract(u[b], a @ u[b, :, None], out=ds)
-            ds *= a
-            ds *= scale
-            np.matmul(ds, k[b], out=dq[b])
-            np.matmul(ds.T, q[b], out=dk[b])
+
+        def blocks(samples):
+            ds = np.empty(attn.shape[1:])  # the softmax backward of one sample, per thread
+            for b in samples:
+                a = attn[b]
+                np.subtract(u[b], a @ u[b, :, None], out=ds)
+                ds *= a
+                ds *= scale
+                np.matmul(ds, k[b], out=dq[b])
+                np.matmul(ds.T, q[b], out=dk[b])
+
+        run_on_two_threads(blocks, range(len(attn)))
         dx = dq @ self.w_query + dk @ self.w_key + dv @ self.w_value
         return {
             "frame_embed": np.tensordot(rhythms, dx, axes=([0, 1], [0, 1])),

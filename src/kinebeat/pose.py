@@ -7,13 +7,16 @@ joint count is not hard-coded.
 
 This module is also the value boundary: load_json decodes a document, json_number,
 positive_number and number_array check its values, and finite_array a data type's arrays.
+It also holds run_on_two_threads, the one place a thread is started.
 """
 
 from __future__ import annotations
 
+import contextvars
 import gc
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +86,42 @@ def load_json(data: bytes, what: str, parse_constant=None):
     finally:
         if gc_was_enabled:
             gc.enable()
+
+
+def run_on_two_threads(work, items) -> None:
+    """work(items[::2]) in the calling thread and work(items[1::2]) in a helper thread.
+
+    numpy releases the interpreter lock in its array operations, so the two
+    halves overlap on two cores; work must write only its own items' output.
+    A single item, or a process that cannot start a thread, runs
+    work(items) in the caller. The helper runs in a copy of the caller's
+    context, so it sees the caller's np.errstate (context-local since numpy
+    2.0), and an exception it raises is raised again in the caller once the
+    helper is joined; no thread outlives the call.
+    """
+    if len(items) > 1:
+        errors = []
+
+        def helper():
+            try:
+                work(items[1::2])
+            except BaseException as exc:  # raised again in the calling thread
+                errors.append(exc)
+
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had
+            pass
+        else:
+            try:
+                work(items[::2])
+            finally:
+                thread.join()
+            if errors:
+                raise errors[0]
+            return
+    work(items)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,24 @@ class TestBlockedEnvelope:
         assert abs(long - short) < 1e6
         assert max(short, long) < 30e6
 
+    @pytest.mark.parametrize("window", [1024, 8192, 65536])
+    def test_a_short_clip_at_a_wide_window_is_bitwise_the_dense_formula(self, window):
+        x = np.random.default_rng(window).uniform(-1, 1, window + 512)  # three frames
+        env = onset_envelope(AudioClip(SR, x), window=window)
+        assert env.values.tobytes() == dense_onset_envelope(x, window, 256).tobytes()
+
+    def test_buffers_hold_no_more_rows_than_the_clip_has_frames(self):
+        # three frames of 65 536 samples: the windowed frames, their spectra and the
+        # log magnitudes and rises take about 5 MB, where ONSET_BLOCK rows took 403 MB
+        clip = AudioClip(SR, np.random.default_rng(3).uniform(-1, 1, 65536 + 512))
+        tracemalloc.start()
+        try:
+            onset_envelope(clip, window=65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestOnsetHelperThread:
     """onset_envelope's second half runs in a helper thread with the caller's numpy

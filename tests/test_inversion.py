@@ -1,7 +1,10 @@
 import ast
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -547,7 +550,7 @@ class TestGradients:
         assert attn[:, 1:].max() < 0.01
 
     def test_attnpos_memory_is_bounded_by_the_attention(self):
-        # one (B, T, T) softmax buffer and one sample's (T, T) backward block
+        # one (B, T, T) softmax buffer and one (T, T) backward block per thread
         dims = ModelDims()
         frozen = build_frozen(dims, "categorical", seed=1)
         params = init_encoder_params(dims, "attnpos", seed=2)
@@ -572,6 +575,105 @@ class TestGradients:
     def test_gradcheck_reports_the_first_of_tied_errors(self):
         # two coordinates of rhythm.w1 tie at that block's largest error
         assert_gradcheck_reports_first_largest_error("mlp", "regression", seed=1)
+
+
+class TestAttnPosHelperThread:
+    """The attention's per-sample blocks, forward and backward, are split by
+    run_on_two_threads: the caller runs samples 0, 2, 4, ... and one helper thread
+    the rest, with the caller's numpy error state; a helper's failure comes back to
+    the caller and no thread outlives a call. One sample, or no thread to be had,
+    runs every block in the caller."""
+
+    @staticmethod
+    def make_batch(n_samples, dims=SMALL, mode="categorical"):
+        frozen = build_frozen(dims, mode, seed=n_samples)
+        params = init_encoder_params(dims, "attnpos", seed=n_samples + 1)
+        raw = make_random_batch(dims, mode, n_samples, np.random.default_rng(n_samples + 2))
+        return params, frozen, prepare_batch(raw, dims, mode)
+
+    @staticmethod
+    def record_parts(monkeypatch):
+        """(thread id, samples) of every part of a block loop, as each one runs."""
+        parts, split = [], inversion.run_on_two_threads
+
+        def recording(work, items):
+            def part(samples):
+                parts.append((threading.get_ident(), list(samples)))
+                work(samples)
+
+            split(part, items)
+
+        monkeypatch.setattr(inversion, "run_on_two_threads", recording)
+        return parts
+
+    @pytest.mark.parametrize("n_samples, helpers", [(1, 0), (2, 2), (5, 2), (16, 2)])
+    def test_one_helper_per_pass_when_a_second_sample_exists(self, n_samples, helpers, monkeypatch):
+        params, frozen, batch = self.make_batch(n_samples)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        parts = self.record_parts(monkeypatch)
+        batch_loss_and_gradients(params, frozen, batch, SMALL)
+        assert len(started) == helpers  # one for the forward, one for the backward
+        samples = list(range(n_samples))
+        caller = threading.get_ident()
+        if helpers:
+            halves = sorted([(True, samples[::2]), (False, samples[1::2])] * 2)
+            assert sorted((ident == caller, s) for ident, s in parts) == halves
+        else:
+            assert parts == [(caller, samples)] * 2
+
+    def test_no_thread_to_start_runs_every_block_in_the_caller(self, monkeypatch):
+        params, frozen, batch = self.make_batch(5, ModelDims())
+        expected_loss, expected = batch_loss_and_gradients(params, frozen, batch)
+
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        parts = self.record_parts(monkeypatch)
+        threads = threading.active_count()
+        loss, grads = batch_loss_and_gradients(params, frozen, batch)
+        assert loss == expected_loss
+        assert sorted(grads) == sorted(expected) and len(grads) == 9
+        for name, ref in expected.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+        assert parts == [(threading.get_ident(), list(range(5)))] * 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_failed_block_raises_in_the_caller(self, failing, monkeypatch):
+        class BlockFailed(Exception):
+            pass
+
+        caller, softmax, threads_seen = threading.get_ident(), inversion._softmax_rows, set()
+
+        def softmax_failing_in_one_thread(s, scale):
+            threads_seen.add(threading.get_ident())
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise BlockFailed(failing)
+            if failing == "caller":
+                time.sleep(0.05)  # the helper outlasts the caller's failure unless joined
+            softmax(s, scale)
+
+        monkeypatch.setattr(inversion, "_softmax_rows", softmax_failing_in_one_thread)
+        params, frozen, batch = self.make_batch(4)
+        threads = threading.active_count()
+        with pytest.raises(BlockFailed, match=failing):
+            batch_loss_and_gradients(params, frozen, batch, SMALL)
+        assert threading.active_count() == threads
+        assert caller in threads_seen and len(threads_seen) == 2
+
+    def test_divergence_warns_in_neither_thread(self):
+        # no outer np.errstate: train's own over/invalid="ignore" must reach the helper
+        ds = make_teacher_student_dataset(SMALL, "attnpos", "regression", 4, seed=3, frozen_seed=2)
+        cfg = TrainingConfig(variant="attnpos", learning_rate=1e9, epochs=200, seed=3, frozen_seed=2)
+        threads = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="diverged at epoch"):
+                train(cfg, ds, SMALL)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert threading.active_count() == threads
 
 
 def assert_gradcheck_reports_first_largest_error(variant, mode, seed, n_samples=2):

@@ -110,6 +110,19 @@ class TestParse:
                     assert "isfinite" not in {alias.name for alias in node.names}, path.name
         assert set(calls) == {"pose.py"}
 
+    def test_threads_are_made_only_by_run_on_two_threads(self):
+        """threading is imported only by pose.py, and a Thread is made in one place."""
+        threads, imports = [], []
+        for path in sorted(Path(kinebeat.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "Thread":
+                    threads.append(path.name)
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+                    if "threading" in names:
+                        imports.append(path.name)
+        assert threads == ["pose.py"] and imports == ["pose.py"]
+
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: OnsetEnvelope(True, np.zeros(4)), id="OnsetEnvelope"),
         pytest.param(lambda: ClipSpec(True), id="ClipSpec"),
