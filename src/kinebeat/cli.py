@@ -9,7 +9,6 @@ Output is JSON by default; evaluate can also emit CSV rows per clip and a summar
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio, inversion, metrics, pose, rhythm
+from . import audio, pose, rhythm  # the front end; metrics and inversion load in their commands
 
 ENV_SEED = "KINEBEAT_SEED"
 
@@ -127,6 +126,8 @@ def _cmd_tempo(args) -> int:
 
 
 def _evaluate_csv(names, reports, summary) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["clip", "b_g", "b_t", "b_a", "bcs", "bhs", "f1", "degenerate"])
@@ -150,6 +151,8 @@ def _evaluate_csv(names, reports, summary) -> str:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import metrics
+
     if args.format == "csv" and (args.phase_align or args.tempo_gen or args.tempo_ref):
         raise ValueError("--phase-align, --tempo-gen and --tempo-ref need --format json")
     if bool(args.tempo_gen) != bool(args.tempo_ref):
@@ -189,6 +192,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
+    from . import inversion
+
     seed, frozen_seed = _fallback_seed(args), _seed(args.frozen_seed, "--frozen-seed")
     config = inversion.TrainingConfig(variant=args.variant, mode=args.mode, learning_rate=args.lr,
                                       epochs=args.epochs, seed=seed, frozen_seed=frozen_seed)
@@ -214,14 +219,85 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from . import inversion
+
     report = inversion.gradcheck(args.variant, args.mode, seed=_fallback_seed(args))
     _write_output(json.dumps(report.to_json_dict(), indent=2), args.output)
     return 0 if report.passed else 1
 
 
 class _Parser(argparse.ArgumentParser):
+    """arguments(parser), if given, adds the options on first parse or help, so a
+    command whose defaults come from metrics or inversion loads it only when used."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def _add_arguments(self):
+        arguments, self._arguments = self._arguments, None
+        if arguments is not None:
+            arguments(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_arguments()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self):
+        self._add_arguments()
+        return super().format_help()
+
     def error(self, message):  # a usage error ends as bad input does: main's one error line
         raise ValueError(message)
+
+
+def _evaluate_arguments(p) -> None:
+    from . import metrics
+
+    p.add_argument("--gen", required=True, nargs="+", help="generated beats/rhythm JSON file(s)")
+    p.add_argument("--ref", required=True, nargs="+", help="reference beats/rhythm JSON file(s)")
+    p.add_argument("--tolerance", type=float, default=metrics.DEFAULT_TOLERANCE_SECONDS,
+                   help="alignment tolerance in seconds (default %(default)s)")
+    p.add_argument("--phase-align", action="store_true",
+                   help="also search a global offset maximizing F1")
+    p.add_argument("--tempo-gen", help="tempo JSON for the generated side")
+    p.add_argument("--tempo-ref", help="tempo JSON for the reference side")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv: per-clip and summary rows, no offsets or tempo (default %(default)s)")
+    p.add_argument("--output", help="output path (default: stdout)")
+
+
+def _model_arguments(p):
+    """The options train-toy and gradcheck share; returns inversion and its TrainingConfig()."""
+    from . import inversion
+
+    tc = inversion.TrainingConfig()
+    p.add_argument("--variant", choices=inversion.VARIANTS, default=tc.variant,
+                   help="rhythm projector (default %(default)s)")
+    p.add_argument("--mode", choices=inversion.MODES, default=tc.mode,
+                   help="toy generator objective (default %(default)s)")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED}, else "
+                   f"{tc.seed} for train-toy and {inversion.GRADCHECK_SEED} for gradcheck)")
+    return inversion, tc
+
+
+def _train_toy_arguments(p) -> None:
+    _, tc = _model_arguments(p)
+    p.add_argument("--data", required=True, help="directory of *.json training samples")
+    p.add_argument("--lr", type=float, default=tc.learning_rate,
+                   help="gradient-descent learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=tc.epochs,
+                   help="full-batch gradient steps (default %(default)s)")
+    p.add_argument("--frozen-seed", type=int, default=tc.frozen_seed,
+                   help="seed of the frozen table/generator (default %(default)s)")
+    p.add_argument("--output", help="checkpoint path (default: checkpoint.json)")
+    p.set_defaults(library_seed=tc.seed)
+
+
+def _gradcheck_arguments(p) -> None:
+    inversion, _ = _model_arguments(p)
+    p.add_argument("--output", help="output path (default: stdout)")
+    p.set_defaults(library_seed=inversion.GRADCHECK_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinematic rhythm extraction, musical beat detection, and alignment metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    rc, tc = rhythm.RhythmConfig(), inversion.TrainingConfig()
+    rc = rhythm.RhythmConfig()
 
     wav = argparse.ArgumentParser(add_help=False)
     wav.add_argument("--audio", required=True, help="WAV file (PCM16 or float32, 1-2 channels)")
@@ -238,14 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="STFT window in samples (default %(default)s)")
     wav.add_argument("--stft-hop", type=int, default=audio.DEFAULT_STFT_HOP,
                      help="STFT hop in samples (default %(default)s)")
-
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--variant", choices=inversion.VARIANTS, default=tc.variant,
-                       help="rhythm projector (default %(default)s)")
-    model.add_argument("--mode", choices=inversion.MODES, default=tc.mode,
-                       help="toy generator objective (default %(default)s)")
-    model.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED}, else "
-                       f"{tc.seed} for train-toy and {inversion.GRADCHECK_SEED} for gradcheck)")
 
     p = sub.add_parser("extract-rhythm", help="pose JSON -> kinematic rhythm JSON file(s)")
     p.add_argument("--poses", required=True, help="keypoint JSON file")
@@ -271,18 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_detect_beats)
 
-    p = sub.add_parser("evaluate", help="score generated vs reference beat files")
-    p.add_argument("--gen", required=True, nargs="+", help="generated beats/rhythm JSON file(s)")
-    p.add_argument("--ref", required=True, nargs="+", help="reference beats/rhythm JSON file(s)")
-    p.add_argument("--tolerance", type=float, default=metrics.DEFAULT_TOLERANCE_SECONDS,
-                   help="alignment tolerance in seconds (default %(default)s)")
-    p.add_argument("--phase-align", action="store_true",
-                   help="also search a global offset maximizing F1")
-    p.add_argument("--tempo-gen", help="tempo JSON for the generated side")
-    p.add_argument("--tempo-ref", help="tempo JSON for the reference side")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv: per-clip and summary rows, no offsets or tempo (default %(default)s)")
-    p.add_argument("--output", help="output path (default: stdout)")
+    p = sub.add_parser("evaluate", help="score generated vs reference beat files",
+                       arguments=_evaluate_arguments)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("tempo", parents=[wav], help="WAV -> tempo JSON")
@@ -293,21 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_tempo)
 
-    p = sub.add_parser("train-toy", parents=[model], help="train the toy inversion encoders")
-    p.add_argument("--data", required=True, help="directory of *.json training samples")
-    p.add_argument("--lr", type=float, default=tc.learning_rate,
-                   help="gradient-descent learning rate (default %(default)s)")
-    p.add_argument("--epochs", type=int, default=tc.epochs,
-                   help="full-batch gradient steps (default %(default)s)")
-    p.add_argument("--frozen-seed", type=int, default=tc.frozen_seed,
-                   help="seed of the frozen table/generator (default %(default)s)")
-    p.add_argument("--output", help="checkpoint path (default: checkpoint.json)")
-    p.set_defaults(func=_cmd_train_toy, library_seed=tc.seed)
+    p = sub.add_parser("train-toy", help="train the toy inversion encoders",
+                       arguments=_train_toy_arguments)
+    p.set_defaults(func=_cmd_train_toy)
 
-    p = sub.add_parser("gradcheck", parents=[model],
-                       help="verify encoder gradients by finite differences")
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gradcheck, library_seed=inversion.GRADCHECK_SEED)
+    p = sub.add_parser("gradcheck", help="verify encoder gradients by finite differences",
+                       arguments=_gradcheck_arguments)
+    p.set_defaults(func=_cmd_gradcheck)
 
     return parser
 

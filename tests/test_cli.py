@@ -15,6 +15,7 @@ from kinebeat.inversion import (
     make_teacher_student_dataset,
     sample_json_dict,
 )
+from kinebeat.metrics import aggregate_reports, match_beats
 from kinebeat.pose import PoseSequence, serialize_pose_file
 from kinebeat.rhythm import RhythmSequence
 
@@ -75,6 +76,16 @@ class TestExtractRhythm:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["extract-rhythm", "--poses", "x.json", "--bogus"]) == 2
         assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+
+    def test_take_shorter_than_one_clip_exits_2(self, tmp_path, capsys):
+        poses = tmp_path / "short.json"
+        poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=306)))  # a 5.12 s clip is 307
+        out = tmp_path / "short.rhythm.json"
+        assert main(["extract-rhythm", "--poses", str(poses), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: input of 306 frames is shorter than one 5.12 s clip\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [poses]
 
 
 class TestDetectBeats:
@@ -201,6 +212,42 @@ class TestEvaluate:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tempo_difference_bpm"] == 16.0
+
+    def test_multi_pair_summary_is_the_aggregate_of_the_clips(self, tmp_path, capsys):
+        pairs = [([0.5, 1.0, 1.5, 2.0], [0.52, 1.2, 1.49]), ([0.3, 0.9], [0.31, 0.95, 1.6])]
+        files = {"gen": [], "ref": []}
+        for i, pair in enumerate(pairs):
+            for side, times in zip(files, pair):
+                path = tmp_path / f"{side}{i}.json"
+                path.write_bytes(BeatList(times=np.array(times)).to_json())
+                files[side].append(str(path))
+        assert main(["evaluate", "--gen", *files["gen"], "--ref", *files["ref"]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reports = [match_beats(BeatList(times=np.array(g)), BeatList(times=np.array(r))) for g, r in pairs]
+        expected = json.loads(json.dumps({"clips": [r.to_json_dict() for r in reports],
+                                          "summary": aggregate_reports(reports).to_json_dict()}))
+        assert [clip["report"] for clip in doc["clips"]] == expected["clips"]
+        assert doc["summary"] == expected["summary"]
+        assert doc["summary"]["n_clips"] == 2
+
+    def test_unpaired_gen_and_ref_lists_exit_2(self, tmp_path, capsys):
+        beats = tmp_path / "beats.json"
+        beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
+        assert main(["evaluate", "--gen", str(beats), str(beats), "--ref", str(beats)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: got 2 generated and 1 reference files; need pairs\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ['{"bpm": 120.0}', "[0.5, 1.0]", '"beats_sec"'])
+    def test_neither_beats_nor_rhythm_exits_2(self, tmp_path, capsys, text):
+        beats = tmp_path / "beats.json"
+        beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
+        other = tmp_path / "other.json"
+        other.write_text(text)
+        assert main(["evaluate", "--gen", str(beats), "--ref", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f'error: {other}: expected "beats_sec" or a rhythm file with "bits"\n'
+        assert captured.out == ""
 
     def test_unparseable_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -649,8 +696,17 @@ class TestParser:
         """(command, action) for every option of every subcommand except -h."""
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in sub.choices.values():
+            command.format_help()  # evaluate, train-toy and gradcheck add their options on first use
         return [(name, action) for name, command in sub.choices.items()
                 for action in command._actions if not isinstance(action, argparse._HelpAction)]
+
+    def test_every_command_has_all_its_options(self):
+        counts = {}
+        for name, _ in self.options():
+            counts[name] = counts.get(name, 0) + 1
+        assert counts == {"extract-rhythm": 8, "detect-beats": 6, "evaluate": 8, "tempo": 6,
+                          "train-toy": 8, "gradcheck": 4}
 
     def test_every_option_has_help(self):
         missing = [(name, action.option_strings) for name, action in self.options() if not action.help]

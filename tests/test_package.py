@@ -1,0 +1,120 @@
+"""The package namespace, and which kinebeat modules each command loads.
+
+The import checks run in fresh interpreters: in this process every module is
+already loaded by the other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kinebeat
+from kinebeat.pose import serialize_pose_file
+
+from conftest import click_wav_bytes, triangle_pose
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+MODULES = ["audio", "inversion", "metrics", "pose", "rhythm"]
+FRONT_END = ["kinebeat.audio", "kinebeat.cli", "kinebeat.pose", "kinebeat.rhythm"]
+
+PRELUDE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("kinebeat."))
+"""
+
+
+def python(*argv):
+    """A fresh interpreter with src on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter; return its last stdout line, parsed as JSON."""
+    return json.loads(python("-c", PRELUDE + code, *args).stdout.splitlines()[-1])
+
+
+class TestImportGraph:
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        poses = tmp_path / "dance.json"
+        poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=400)))
+        song = tmp_path / "song.wav"
+        song.write_bytes(click_wav_bytes(120, seconds=5.12))
+        rhythm_out, beats_out = tmp_path / "dance.rhythm.json", tmp_path / "song.beats.json"
+        commands = [
+            ["extract-rhythm", "--poses", str(poses), "--clip", "none", "--output", str(rhythm_out)],
+            ["detect-beats", "--audio", str(song), "--output", str(beats_out)],
+            ["evaluate", "--gen", str(rhythm_out), "--ref", str(beats_out), "--output",
+             str(tmp_path / "scores.json")],
+        ]
+        steps = run_python("""
+steps = {}
+import kinebeat
+steps["import kinebeat"] = loaded()
+import kinebeat.cli
+steps["import kinebeat.cli"] = loaded()
+for argv in json.loads(sys.argv[1]):
+    assert kinebeat.cli.main(argv) == 0, argv
+    steps[argv[0]] = loaded()
+print(json.dumps(steps))
+""", json.dumps(commands))
+        assert steps == {
+            "import kinebeat": [],
+            "import kinebeat.cli": FRONT_END,
+            "extract-rhythm": FRONT_END,
+            "detect-beats": FRONT_END,
+            "evaluate": sorted(FRONT_END + ["kinebeat.metrics"]),
+        }
+
+    def test_submodule_after_a_bare_import(self):
+        name, steps = run_python("""
+import kinebeat
+print(json.dumps([kinebeat.audio.read_wav.__module__, loaded()]))
+""")
+        assert name == "kinebeat.audio"
+        assert steps == ["kinebeat.audio", "kinebeat.pose", "kinebeat.rhythm"]
+
+    def test_importtime_lists_every_lazily_loaded_module(self):
+        stderr = python("-X", "importtime", "-c", "import kinebeat; kinebeat.train; kinebeat.metrics").stderr
+        listed = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {f"kinebeat.{m}" for m in MODULES} <= listed
+
+
+class TestNamespace:
+    def test_every_public_name_is_its_module_object(self):
+        assert len(kinebeat.__all__) == len(set(kinebeat.__all__)) == 47
+        modules = set()
+        for name in kinebeat.__all__:
+            obj = getattr(kinebeat, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            modules.add(obj.__module__)
+        assert modules == {f"kinebeat.{m}" for m in MODULES}
+
+    def test_dir_lists_every_public_name_and_module(self):
+        listed = dir(kinebeat)
+        assert set(kinebeat.__all__ + MODULES + ["__version__"]) <= set(listed)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from kinebeat import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(kinebeat.__all__)
+        assert all(namespace[name] is getattr(kinebeat, name) for name in namespace)
+
+    def test_modules_and_version(self):
+        for module in MODULES:
+            assert getattr(kinebeat, module) is sys.modules[f"kinebeat.{module}"]
+        assert kinebeat.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("name", ["no_such_name", "cli_main", "np"])
+    def test_unknown_attribute_names_itself(self, name):
+        with pytest.raises(AttributeError, match=f"^module 'kinebeat' has no attribute '{name}'$"):
+            getattr(kinebeat, name)
