@@ -227,8 +227,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """arguments(parser), if given, adds the options on first parse or help, so a
-    command whose defaults come from metrics or inversion loads it only when used."""
+    """arguments(parser), if given, adds the options on the first parse (-h is parsed too),
+    so a command whose defaults come from metrics or inversion loads it only when used."""
 
     def __init__(self, *args, arguments=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -242,10 +242,6 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         self._add_arguments()
         return super().parse_known_args(args, namespace)
-
-    def format_help(self):
-        self._add_arguments()
-        return super().format_help()
 
     def error(self, message):  # a usage error ends as bad input does: main's one error line
         raise ValueError(message)

@@ -697,7 +697,7 @@ class TestParser:
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command in sub.choices.values():
-            command.format_help()  # evaluate, train-toy and gradcheck add their options on first use
+            command._add_arguments()  # evaluate, train-toy and gradcheck add theirs on first parse
         return [(name, action) for name, command in sub.choices.items()
                 for action in command._actions if not isinstance(action, argparse._HelpAction)]
 
