@@ -33,12 +33,12 @@ def _seed(value, name: str) -> int:
     return seed
 
 
-def _fallback_seed(args) -> int:
-    """--seed, else $KINEBEAT_SEED, else the command's library default."""
+def _fallback_seed(args, default: int) -> int:
+    """--seed, else $KINEBEAT_SEED, else default, the command's library seed."""
     if args.seed is not None:
         return _seed(args.seed, "--seed")
     env = os.environ.get(ENV_SEED)
-    return _seed(env, f"${ENV_SEED}") if env is not None else args.library_seed
+    return _seed(env, f"${ENV_SEED}") if env is not None else default
 
 
 def _read_file(path: str) -> bytes:
@@ -96,15 +96,21 @@ def _cmd_extract_rhythm(args) -> int:
     seq = _parse_file(args.poses, pose.parse_pose_file)
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
     if spec is None:
-        outputs = {base: seq}
+        docs = {base: rhythm.extract_rhythm(seq, config).to_json()}
     else:
         clips = pose.segment_clips(seq, spec)
         if not clips:
             raise ValueError(f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip")
-        paths = [base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}") for i in range(len(clips))]
-        outputs = dict(zip(paths, clips))
-    for path, part in outputs.items():
-        path.write_bytes(rhythm.extract_rhythm(part, config).to_json())
+        docs = {}
+        for i, clip in enumerate(clips):  # all clips first, so a failing one leaves no file
+            try:
+                doc = rhythm.extract_rhythm(clip, config).to_json()
+            except ValueError as exc:
+                first, last = i * clip.n_frames, (i + 1) * clip.n_frames - 1
+                raise ValueError(f"{exc} (clip {i}, frames {first}-{last})") from exc
+            docs[base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}")] = doc
+    for path, doc in docs.items():
+        path.write_bytes(doc)
         print(path)
     return 0
 
@@ -194,7 +200,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_train_toy(args) -> int:
     from . import inversion
 
-    seed, frozen_seed = _fallback_seed(args), _seed(args.frozen_seed, "--frozen-seed")
+    seed = _fallback_seed(args, inversion.TrainingConfig().seed)
+    frozen_seed = _seed(args.frozen_seed, "--frozen-seed")
     config = inversion.TrainingConfig(variant=args.variant, mode=args.mode, learning_rate=args.lr,
                                       epochs=args.epochs, seed=seed, frozen_seed=frozen_seed)
     data_dir = Path(args.data)
@@ -221,7 +228,8 @@ def _cmd_train_toy(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from . import inversion
 
-    report = inversion.gradcheck(args.variant, args.mode, seed=_fallback_seed(args))
+    seed = _fallback_seed(args, inversion.GRADCHECK_SEED)
+    report = inversion.gradcheck(args.variant, args.mode, seed=seed)
     _write_output(json.dumps(report.to_json_dict(), indent=2), args.output)
     return 0 if report.passed else 1
 
@@ -264,7 +272,7 @@ def _evaluate_arguments(p) -> None:
 
 
 def _model_arguments(p):
-    """The options train-toy and gradcheck share; returns inversion and its TrainingConfig()."""
+    """The options train-toy and gradcheck share; returns inversion's TrainingConfig()."""
     from . import inversion
 
     tc = inversion.TrainingConfig()
@@ -274,11 +282,11 @@ def _model_arguments(p):
                    help="toy generator objective (default %(default)s)")
     p.add_argument("--seed", type=int, help=f"RNG seed (default: ${ENV_SEED}, else "
                    f"{tc.seed} for train-toy and {inversion.GRADCHECK_SEED} for gradcheck)")
-    return inversion, tc
+    return tc
 
 
 def _train_toy_arguments(p) -> None:
-    _, tc = _model_arguments(p)
+    tc = _model_arguments(p)
     p.add_argument("--data", required=True, help="directory of *.json training samples")
     p.add_argument("--lr", type=float, default=tc.learning_rate,
                    help="gradient-descent learning rate (default %(default)s)")
@@ -287,13 +295,11 @@ def _train_toy_arguments(p) -> None:
     p.add_argument("--frozen-seed", type=int, default=tc.frozen_seed,
                    help="seed of the frozen table/generator (default %(default)s)")
     p.add_argument("--output", help="checkpoint path (default: checkpoint.json)")
-    p.set_defaults(library_seed=tc.seed)
 
 
 def _gradcheck_arguments(p) -> None:
-    inversion, _ = _model_arguments(p)
+    _model_arguments(p)
     p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(library_seed=inversion.GRADCHECK_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,8 @@
 """Shared synthetic fixtures (poses, oscillators, click-track WAVs), the
-per-frame peak-picking loops that `windowed_peaks` replaced and the per-value
-pose parser that `parse_pose_file`'s one-conversion path skips, kept verbatim
-as references on plain arrays."""
+per-frame loop that `pick_beats` ran before `windowed_peaks` replaced it and
+the per-value pose parser that `parse_pose_file`'s one-conversion path skips,
+kept verbatim as references on plain arrays. `detect_kinematic_beats` is
+checked against `oracles.windowed_peaks_oracle`."""
 
 import io
 import os
@@ -94,24 +95,6 @@ def random_pose_frames(rng, n_frames, n_joints, scale=100.0):
     xy = rng.uniform(-scale, scale, size=(n_frames, n_joints, 2))
     conf = rng.uniform(0.0, 1.0, size=(n_frames, n_joints, 1))
     return np.concatenate([xy, conf], axis=2)
-
-
-def detect_beats_loop(a, fps, window, min_value=0.0, min_rel=0.0):
-    """detect_kinematic_beats' former per-frame loop; returns the rhythm bits."""
-    n = len(a)
-    half = int(round(window * fps / 2.0))
-    threshold = max(min_value, min_rel * float(a.max())) if n else min_value
-    bits = np.zeros(n + 2, dtype=np.uint8)
-    for t in range(n):
-        if not a[t] > threshold:
-            continue
-        if t > 0 and a[t - 1] == a[t]:
-            continue
-        lo = max(0, t - half)
-        hi = min(n, t + half + 1)
-        if a[t] >= a[lo:hi].max():
-            bits[t + 2] = 1
-    return bits
 
 
 def pick_beats_loop(v, frame_rate, window, delta):

@@ -224,6 +224,23 @@ class TestWavDecoderContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, SR, 4 * SR, 4, 16)),
+                           _chunk(b"data", bytes(400))),
+                     "cannot decode WAV: block align 4 for 1 x 16 bits", id="block-align"),
+        pytest.param(_riff(_fmt(1, 1, 16), _chunk(b"data", b"")),
+                     "samples must be a non-empty mono vector", id="empty-data"),
+        pytest.param(REJECTED_WAVS["no-fmt-before-data"],
+                     "cannot decode WAV: data chunk before the fmt chunk", id="data-before-fmt"),
+        pytest.param(_riff(_fmt(1, 1, 16), _chunk(b"data", bytes(400)), magic=b"RF64"),
+                     "cannot decode WAV: RF64 file without a ds64 chunk", id="rf64-without-ds64"),
+    ])
+    def test_cli_error_line_names_the_file(self, data, message, tmp_path, capsys):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        assert main(["detect-beats", "--audio", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("dtype", [np.float32, np.int16])
     def test_stereo_mixdown_is_bitwise_the_row_mean(self, dtype):
         tiny = np.finfo(np.float32).smallest_subnormal

@@ -87,6 +87,18 @@ class TestExtractRhythm:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [poses]
 
+    def test_failing_clip_is_named_and_nothing_is_written(self, tmp_path, capsys):
+        frames = triangle_pose(n_frames=1228).frames.copy()  # four 307-frame clips
+        frames[614:921, 0, 2] = 0.1  # joint 0 occluded for all of clip 2
+        poses = tmp_path / "occluded.json"
+        poses.write_bytes(serialize_pose_file(PoseSequence(60.0, frames)))
+        assert main(["extract-rhythm", "--poses", str(poses), "--output", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: joint 0 has no frame with confidence >= 0.3 "
+                                "(clip 2, frames 614-920)\n")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*.json"))
+
 
 class TestDetectBeats:
     def test_silence_fixture_empty(self, tmp_path, capsys):
@@ -529,29 +541,49 @@ HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 
 
 class TestBadJsonNumbers:
-    @pytest.mark.parametrize("kind, text", [
+    """Each bad document exits 2 with one error line; a parse error names the file."""
+
+    @pytest.mark.parametrize("kind, text, message", [
         pytest.param("poses", '{"fps": 60, "frames": [[[%s, 0, 1]], [[0, 0, 1]], [[0, 0, 1]]]}' % HUGE,
+                     "bad.json: keypoint value at frame 0 is too large: int too large to convert to float",
                      id="pose-coordinate-huge"),
         pytest.param("poses", '{"fps": %s, "frames": [[[0, 0, 1]], [[1, 0, 1]], [[0, 0, 1]]]}' % HUGE,
-                     id="pose-fps-huge"),
-        pytest.param("beats", '{"beats_sec": [0.5, %s]}' % HUGE, id="beats-huge"),
-        pytest.param("beats", '{"beats_sec": {"a": 1}}', id="beats-object"),
-        pytest.param("beats", '{"fps": %s, "bits": [0, 0, 1]}' % HUGE, id="rhythm-fps-huge"),
-        pytest.param("beats", '{"fps": true, "bits": [0, 0, 1]}', id="rhythm-fps-bool"),
+                     "bad.json: fps is too large: int too large to convert to float", id="pose-fps-huge"),
+        pytest.param("beats", '{"beats_sec": [0.5, %s]}' % HUGE,
+                     'bad.json: "beats_sec": int too large to convert to float', id="beats-huge"),
+        pytest.param("beats", '{"beats_sec": {"a": 1}}',
+                     'bad.json: beats JSON must be an object with a "beats_sec" list', id="beats-object"),
+        pytest.param("beats", '{"fps": %s, "bits": [0, 0, 1]}' % HUGE,
+                     "bad.json: fps is too large: int too large to convert to float", id="rhythm-fps-huge"),
+        pytest.param("beats", '{"fps": true, "bits": [0, 0, 1]}', "bad.json: fps must be a number, got True",
+                     id="rhythm-fps-bool"),
         pytest.param("beats", '{"fps": 60, "bits": [false, false, true, false, true]}',
-                     id="rhythm-bits-bool"),
-        pytest.param("tempo", '{"bpm": %s}' % HUGE, id="bpm-huge"),
-        pytest.param("tempo", '{"bpm": [1]}', id="bpm-list"),
-        pytest.param("tempo", '{"bpm": null}', id="bpm-null"),
-        pytest.param("tempo", '{"bpm": "120"}', id="bpm-string"),
+                     'bad.json: "bits" must be a list of numbers', id="rhythm-bits-bool"),
+        pytest.param("tempo", '{"bpm": %s}' % HUGE,
+                     "bad.json: bpm is too large: int too large to convert to float", id="bpm-huge"),
+        pytest.param("tempo", '{"bpm": [1]}', "bad.json: bpm must be a number, got [1]", id="bpm-list"),
+        pytest.param("tempo", '{"bpm": null}', "bad.json: bpm must be a number, got None", id="bpm-null"),
+        pytest.param("tempo", '{"bpm": "120"}', "bad.json: bpm must be a number, got '120'", id="bpm-string"),
         pytest.param("poses", '{"fps": 1, "frames": [[[1e200, 0, 1]]%s]}' % (", [[0, 0, 1]]" * 4),
-                     id="pose-speed-overflow"),
+                     "speeds must be finite and nonnegative (clip 0, frames 0-4)", id="pose-speed-overflow"),
         pytest.param("poses", '{"fps": 1, "frames": [[[1e308, 0, 1]], [[-1e308, 0, 1]]%s]}'
-                     % (", [[0, 0, 1]]" * 3), id="pose-velocity-overflow"),
-        pytest.param("beats", '{"fps": 1e-320, "bits": [0, 0, 1]}', id="rhythm-beat-time-overflow"),
+                     % (", [[0, 0, 1]]" * 3), "velocity values must be finite (clip 0, frames 0-4)",
+                     id="pose-velocity-overflow"),
+        pytest.param("beats", '{"fps": 1e-320, "bits": [0, 0, 1]}',
+                     "bad.json: beat times must be finite and nonnegative", id="rhythm-beat-time-overflow"),
+        pytest.param("beats", '{"fps": 60, "bits": [0, 0, 2]}', "bad.json: bits must be 0 or 1",
+                     id="rhythm-bit-not-binary"),
+        pytest.param("beats", '{"fps": 60, "bits": [1, 0, 0]}',
+                     "bad.json: bits 0 and 1 must be 0; acceleration is undefined there",
+                     id="rhythm-leading-bit-set"),
+        pytest.param("beats", '{"fps": 60, "bits": [0, 0]}', "bad.json: need at least 3 bits, got 2",
+                     id="rhythm-too-few-bits"),
+        pytest.param("tempo", "{}", 'bad.json: tempo JSON must be an object with "bpm"', id="tempo-no-bpm"),
+        pytest.param("poses", '{"frames": []}',
+                     'bad.json: keypoint JSON must be an object with "fps" and "frames"', id="pose-no-fps"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_exits_2(self, tmp_path, capsys, kind, text):
+    def test_exits_2(self, tmp_path, capsys, kind, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         beats = tmp_path / "beats.json"
@@ -566,7 +598,7 @@ class TestBadJsonNumbers:
         }[kind]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
         assert "Traceback" not in err
 
 
@@ -587,6 +619,10 @@ class TestBadNumericFlags:
         pytest.param("tempo", ["--bpm-min", "1e-320"], "longest lag", id="bpm-min-lag-overflow"),
         pytest.param("extract-rhythm", ["--bins", "1" + "0" * 20], "direction bins must fit in int64",
                      id="bins-overflow"),
+        pytest.param("detect-beats", ["--stft-window", "256", "--stft-hop", "512"],
+                     "need window >= hop >= 1, got window=256, hop=512", id="stft-window-below-hop"),
+        pytest.param("tempo", ["--bpm-min", "200", "--bpm-max", "201"],
+                     "no integer lag lies in [200.0, 201.0] BPM at 86.13 Hz", id="bpm-range-without-lag"),
     ])
     def test_exits_2(self, tmp_path, capsys, command, flags, message):
         if command == "extract-rhythm":

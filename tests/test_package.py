@@ -18,7 +18,6 @@ from kinebeat.pose import serialize_pose_file
 from conftest import click_wav_bytes, triangle_pose
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-MODULES = ["audio", "inversion", "metrics", "pose", "rhythm"]
 FRONT_END = ["kinebeat.audio", "kinebeat.cli", "kinebeat.pose", "kinebeat.rhythm"]
 
 PRELUDE = """
@@ -28,17 +27,14 @@ def loaded():
 """
 
 
-def python(*argv):
-    """A fresh interpreter with src on its path."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc
-
-
 def run_python(code, *args):
-    """Run code in a fresh interpreter; return its last stdout line, parsed as JSON."""
-    return json.loads(python("-c", PRELUDE + code, *args).stdout.splitlines()[-1])
+    """Run code in a fresh interpreter with src on its path; return its last stdout line,
+    parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestImportGraph:
@@ -73,45 +69,9 @@ print(json.dumps(steps))
             "evaluate": sorted(FRONT_END + ["kinebeat.metrics"]),
         }
 
-    def test_submodule_after_a_bare_import(self):
-        name, steps = run_python("""
-import kinebeat
-print(json.dumps([kinebeat.audio.read_wav.__module__, loaded()]))
-""")
-        assert name == "kinebeat.audio"
-        assert steps == ["kinebeat.audio", "kinebeat.pose", "kinebeat.rhythm"]
-
-    def test_importtime_lists_every_lazily_loaded_module(self):
-        stderr = python("-X", "importtime", "-c", "import kinebeat; kinebeat.train; kinebeat.metrics").stderr
-        listed = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
-                  if line.startswith("import time:")}
-        assert {f"kinebeat.{m}" for m in MODULES} <= listed
-
 
 class TestNamespace:
-    def test_every_public_name_is_its_module_object(self):
-        assert len(kinebeat.__all__) == len(set(kinebeat.__all__)) == 47
-        modules = set()
-        for name in kinebeat.__all__:
-            obj = getattr(kinebeat, name)
-            assert getattr(sys.modules[obj.__module__], name) is obj, name
-            modules.add(obj.__module__)
-        assert modules == {f"kinebeat.{m}" for m in MODULES}
-
-    def test_dir_lists_every_public_name_and_module(self):
-        listed = dir(kinebeat)
-        assert set(kinebeat.__all__ + MODULES + ["__version__"]) <= set(listed)
-
-    def test_star_import_binds_every_public_name(self):
-        namespace = {}
-        exec("from kinebeat import *", namespace)
-        del namespace["__builtins__"]
-        assert sorted(namespace) == sorted(kinebeat.__all__)
-        assert all(namespace[name] is getattr(kinebeat, name) for name in namespace)
-
     def test_modules_and_version(self):
-        for module in MODULES:
-            assert getattr(kinebeat, module) is sys.modules[f"kinebeat.{module}"]
         assert kinebeat.__version__ == "0.1.0"
 
     @pytest.mark.parametrize("name", ["no_such_name", "cli_main", "np"])
