@@ -122,8 +122,9 @@ class TempoEstimate:
         return cls(bpm=doc["bpm"])
 
 
-def read_wav(data: bytes) -> AudioClip:
-    """Decode a little-endian RIFF/WAVE file (or RF64) into a mono clip.
+def read_wav(data) -> AudioClip:
+    """Decode a little-endian RIFF/WAVE file (or RF64), in bytes or a read-only mmap, into a
+    mono clip.
 
     Accepted: 16-bit integer PCM or 32-bit IEEE float, 1-2 channels, as
     WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT or WAVE_FORMAT_EXTENSIBLE with
@@ -131,12 +132,16 @@ def read_wav(data: bytes) -> AudioClip:
     first "data" chunk, whose samples are the clip; RF64 takes the data
     size from its "ds64" chunk. A data chunk cut short by the end of the
     file decodes to the whole frames present. Anything else, including
-    big-endian RIFX, raises ValueError.
+    big-endian RIFX, an empty data chunk or a NaN sample, raises ValueError.
 
     Stereo is mixed to mono by channel average, (0 + left + right) / 2 in
     that order, which is bitwise the row mean. 16-bit samples are scaled
     by 1/32768; float samples are clipped into [-1, 1]. The payload is
-    viewed in place and converted _DECODE_BLOCK frames at a time.
+    viewed in place and converted _DECODE_BLOCK frames at a time, the
+    blocks split over two threads by pose.run_on_two_threads, each with
+    its own scratch block; every block is converted by the same arithmetic,
+    so the clip is bitwise the serial decode. The conversion ignores the
+    caller's np.errstate, so a NaN ends in the one ValueError either way.
     """
     if len(data) < 12:
         raise ValueError(f"cannot decode WAV: {len(data)} bytes hold no RIFF header")
@@ -172,23 +177,37 @@ def read_wav(data: bytes) -> AudioClip:
     if rf64_data_size is not None:
         size = rf64_data_size
     present = min(size, len(data) - pos)
+    if present == 0:
+        raise ValueError("cannot decode WAV: empty data chunk")
     if present % (channels * dtype.itemsize):
         raise ValueError("cannot decode WAV: data chunk ends inside a frame")
     raw = np.frombuffer(data, dtype, count=present // dtype.itemsize, offset=pos).reshape(-1, channels)
     samples = np.empty(len(raw))
-    for lo in range(0, len(raw), _DECODE_BLOCK):
-        out = samples[lo : lo + _DECODE_BLOCK]
-        # mono converts in the output itself; stereo in a block averaged into it
-        block = out[:, None] if channels == 1 else np.empty((len(out), 2))
-        block[:] = raw[lo : lo + _DECODE_BLOCK]  # to float64
-        if dtype.kind == "i":
-            block /= 32768.0
-        else:
-            np.clip(block, -1.0, 1.0, out=block)
-        if channels == 2:  # block.mean(axis=1) bitwise: its sum starts at 0, so -0.0 + -0.0 mixes to 0.0
-            np.add(0.0, block[:, 0], out=out)
-            out += block[:, 1]
-            out /= 2.0
+    nan_frames = []
+
+    def decode(starts):
+        # mono converts in the output itself; stereo in a scratch block averaged into it
+        scratch = np.empty((min(_DECODE_BLOCK, len(raw)), 2)) if channels == 2 else None
+        for lo in starts:
+            source, out = raw[lo : lo + _DECODE_BLOCK], samples[lo : lo + _DECODE_BLOCK]
+            block = out[:, None] if channels == 1 else scratch[: len(out)]
+            if dtype.kind == "i":
+                np.divide(source, 32768.0, out=block)
+            else:  # bitwise convert-then-clip: the cast is exact and +-1 are float32 values
+                np.clip(source, -1.0, 1.0, out=block)
+            if channels == 2:  # block.mean(axis=1) bitwise: its sum starts at 0, so -0.0 + -0.0 mixes to 0.0
+                np.add(0.0, block[:, 0], out=out)
+                out += block[:, 1]
+                out /= 2.0
+            if dtype.kind == "f":  # clipping leaves NaN the one non-finite value
+                nan = np.isnan(out)
+                if nan.any():
+                    nan_frames.append(lo + int(np.argmax(nan)))
+
+    with np.errstate(invalid="ignore"):  # a signalling NaN's cast raises under invalid="raise"
+        run_on_two_threads(decode, range(0, len(raw), _DECODE_BLOCK))
+    if nan_frames:
+        raise ValueError(f"cannot decode WAV: NaN sample in frame {min(nan_frames)}")
     return AudioClip(sample_rate=sample_rate, samples=samples)
 
 

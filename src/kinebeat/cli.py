@@ -9,9 +9,12 @@ Output is JSON by default; evaluate can also emit CSV rows per clip and a summar
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -20,6 +23,7 @@ import numpy as np
 from . import audio, pose, rhythm  # the front end; metrics and inversion load in their commands
 
 ENV_SEED = "KINEBEAT_SEED"
+_exit_hook_registered = False  # main registers gc.freeze with atexit once per process
 
 
 def _seed(value, name: str) -> int:
@@ -41,9 +45,17 @@ def _fallback_seed(args, default: int) -> int:
     return _seed(env, f"${ENV_SEED}") if env is not None else default
 
 
-def _read_file(path: str) -> bytes:
+def _read_file(path: str):
+    """A read-only mmap of a regular, non-empty file, else the bytes read (mmap refuses an
+    empty file, and a FIFO or /dev/stdin cannot be mapped). Every parser takes either form."""
+    import mmap
+
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            info = os.fstat(file.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+                return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+            return file.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
@@ -58,7 +70,7 @@ def _write_output(payload: str, output) -> None:
 
 
 def _parse_file(path, parse):
-    """parse(the bytes of path); a ValueError from parse names the file."""
+    """parse(the contents of path, from _read_file); a ValueError from parse names the file."""
     data = _read_file(path)
     try:
         return parse(data)
@@ -365,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _exit_hook_registered
+    if not _exit_hook_registered:  # frozen at exit, the heap is left out of the last collections
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # the data types refuse a non-finite result themselves

@@ -69,8 +69,9 @@ def number_array(value, what: str, dtype=np.float64) -> np.ndarray:
     return finite_array(value, what, 1, dtype=dtype)
 
 
-def load_json(data: bytes, what: str, parse_constant=None):
-    """The JSON document in UTF-8 bytes; bad UTF-8 or JSON raises ValueError(f"{what}: ...").
+def load_json(data, what: str, parse_constant=None):
+    """The JSON document in UTF-8 data, bytes or a read-only mmap; bad UTF-8 or JSON raises
+    ValueError(f"{what}: ...").
 
     NaN and Infinity literals parse as floats unless parse_constant raises.
     The cyclic garbage collector is off while json.loads runs, since a decoded
@@ -80,7 +81,7 @@ def load_json(data: bytes, what: str, parse_constant=None):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(data.decode("utf-8"), parse_constant=parse_constant)
+        return json.loads(str(data, "utf-8"), parse_constant=parse_constant)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
     finally:
@@ -182,7 +183,7 @@ class ClipSpec:
         return int(round(frames))
 
 
-def parse_pose_file(data: bytes) -> PoseSequence:
+def parse_pose_file(data) -> PoseSequence:
     """Parse the documented keypoint JSON format into a validated PoseSequence.
 
     Rejects malformed JSON, NaN/Infinity literals, ragged joint counts,
@@ -199,7 +200,8 @@ def parse_pose_file(data: bytes) -> PoseSequence:
     raw = doc["frames"]
     if not isinstance(raw, list) or len(raw) < 3:
         raise ValueError(f"need at least 3 frames, got {len(raw) if isinstance(raw, list) else 0}")
-    if b"true" not in data and b"false" not in data:  # np.asarray would take bools as numbers
+    # np.asarray would take bools as numbers; find, since `in` on an mmap compares single bytes
+    if data.find(b"true") < 0 and data.find(b"false") < 0:
         try:  # no dtype: strings, nulls and ints past float64 land in U or O and take the loop
             frames = np.asarray(raw)
         except ValueError:  # ragged lists take the loop too

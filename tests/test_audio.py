@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from kinebeat.audio import (
+    _DECODE_BLOCK,
     ONSET_BLOCK,
     AudioClip,
     BeatList,
@@ -229,11 +230,20 @@ class TestWavDecoderContract:
                            _chunk(b"data", bytes(400))),
                      "cannot decode WAV: block align 4 for 1 x 16 bits", id="block-align"),
         pytest.param(_riff(_fmt(1, 1, 16), _chunk(b"data", b"")),
-                     "samples must be a non-empty mono vector", id="empty-data"),
+                     "cannot decode WAV: empty data chunk", id="empty-data"),
         pytest.param(REJECTED_WAVS["no-fmt-before-data"],
                      "cannot decode WAV: data chunk before the fmt chunk", id="data-before-fmt"),
         pytest.param(_riff(_fmt(1, 1, 16), _chunk(b"data", bytes(400)), magic=b"RF64"),
                      "cannot decode WAV: RF64 file without a ds64 chunk", id="rf64-without-ds64"),
+        pytest.param(_riff(_chunk(b"ds64", bytes(8)), _fmt(1, 1, 16), _chunk(b"data", bytes(400)),
+                           magic=b"RF64"),
+                     "cannot decode WAV: ds64 chunk of 8 bytes", id="ds64-short"),
+        pytest.param(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, SR, 2 * SR, 2, 16)[:14]),
+                           _chunk(b"data", bytes(400))),
+                     "cannot decode WAV: fmt chunk of 14 bytes is too short", id="fmt-short"),
+        pytest.param(_riff(_fmt(0xFFFE, 1, 16), _chunk(b"data", bytes(400))),
+                     "cannot decode WAV: WAVE_FORMAT_EXTENSIBLE fmt chunk too short",
+                     id="extensible-short"),
     ])
     def test_cli_error_line_names_the_file(self, data, message, tmp_path, capsys):
         path = tmp_path / "bad.wav"
@@ -266,6 +276,43 @@ class TestWavDecoderContract:
             block = np.clip(array.astype(np.float64) * scale, -1.0, 1.0)
             assert read_wav(data).samples.tobytes() == block.mean(axis=1).tobytes()
             assert read_wav(data).samples.tobytes() == reference_read_wav(data)[1].tobytes()
+
+    @pytest.mark.parametrize("frames", [
+        1, _DECODE_BLOCK - 1, _DECODE_BLOCK, _DECODE_BLOCK + 1, 2 * _DECODE_BLOCK - 1, 2 * _DECODE_BLOCK,
+        2 * _DECODE_BLOCK + 1, 3 * _DECODE_BLOCK - 1, 3 * _DECODE_BLOCK, 3 * _DECODE_BLOCK + 1,
+    ])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_blocks_on_two_threads_are_bitwise_the_serial_decode(self, frames, channels, dtype,
+                                                                 monkeypatch):
+        rng = np.random.default_rng([frames, channels])
+        if dtype is np.float32:
+            raw = rng.uniform(-1.5, 1.5, size=(frames, channels)).astype(np.float32)
+            raw[-1, 0], raw[0, -1] = -np.inf, -0.0
+            data = _riff(_fmt(3, channels, 32), _chunk(b"data", raw.tobytes()))
+        else:
+            raw = rng.integers(-32768, 32768, size=(frames, channels)).astype(np.int16)
+            data = _riff(_fmt(1, channels, 16), _chunk(b"data", raw.tobytes()))
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        assert read_wav(data).samples.tobytes() == reference_read_wav(data)[1].tobytes()
+        assert len(started) == (frames > _DECODE_BLOCK)
+
+    @pytest.mark.parametrize("nan_bits", [0x7FC00000, 0x7FA00000], ids=["quiet", "signalling"])
+    @pytest.mark.parametrize("errors", ["raise", "ignore"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_a_nan_sample_is_named_whatever_the_errstate(self, nan_bits, errors, channels):
+        raw = np.random.default_rng(3).uniform(-1, 1, size=(3 * _DECODE_BLOCK, channels))
+        raw = raw.astype(np.float32)
+        first = _DECODE_BLOCK + 5  # in block 1, the helper thread's; block 2 is the caller's
+        raw.view(np.uint32)[first, -1] = raw.view(np.uint32)[2 * _DECODE_BLOCK + 1, 0] = nan_bits
+        data = _riff(_fmt(3, channels, 32), _chunk(b"data", raw.tobytes()))
+        threads = threading.active_count()
+        with warnings.catch_warnings(), np.errstate(all=errors):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^cannot decode WAV: NaN sample in frame {first}$"):
+                read_wav(data)
+        assert threading.active_count() == threads
 
     def test_payload_is_decoded_in_place(self):
         # a minute of stereo float32: beyond the float64 mono result, only

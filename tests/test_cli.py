@@ -1,6 +1,11 @@
 import argparse
+import contextlib
 import inspect
 import json
+import mmap
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -581,6 +586,8 @@ class TestBadJsonNumbers:
         pytest.param("tempo", "{}", 'bad.json: tempo JSON must be an object with "bpm"', id="tempo-no-bpm"),
         pytest.param("poses", '{"frames": []}',
                      'bad.json: keypoint JSON must be an object with "fps" and "frames"', id="pose-no-fps"),
+        pytest.param("poses", '{"fps": 60, "frames": [[[true, 0, 1]], [[0, 0, 1]], [[0, 0, 1]]]}',
+                     "bad.json: keypoint value at frame 0 must be a number, got True", id="pose-bool"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2(self, tmp_path, capsys, kind, text, message):
@@ -600,6 +607,76 @@ class TestBadJsonNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def fifo_holding(tmp_path, data):
+    """A named pipe that a child process fills with data once a reader opens it."""
+    source, fifo = tmp_path / "fifo.source", tmp_path / "fifo"
+    source.write_bytes(data)
+    os.mkfifo(fifo)
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(source), str(fifo)])
+    try:
+        yield fifo
+        assert writer.wait(timeout=60) == 0
+    finally:
+        writer.kill()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestReadFile:
+    """_read_file maps a regular, non-empty file read-only and reads what mmap refuses."""
+
+    @pytest.mark.parametrize("kind", ["regular", "empty", "fifo"])
+    def test_a_regular_file_is_mapped_and_anything_else_read(self, tmp_path, kind):
+        data = b"" if kind == "empty" else b'{"bpm": 120.0}'
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        with fifo_holding(tmp_path, data) if kind == "fifo" else contextlib.nullcontext(path) as source:
+            contents = cli._read_file(str(source))
+        assert contents[:] == data
+        assert isinstance(contents, mmap.mmap if kind == "regular" else bytes)
+        if kind == "regular":
+            with pytest.raises(TypeError):
+                contents[0] = 0
+
+    @pytest.mark.parametrize("command", ["detect-beats", "extract-rhythm"])
+    def test_a_command_reads_a_fifo(self, tmp_path, capsys, command):
+        if command == "detect-beats":
+            data, flags = click_wav_bytes(120, seconds=5.12), ["--audio"]
+        else:
+            data, flags = serialize_pose_file(triangle_pose(n_frames=400)), ["--clip", "none", "--poses"]
+        regular = tmp_path / "regular"
+        regular.write_bytes(data)
+        outputs = []
+        for source in (regular, None):
+            with fifo_holding(tmp_path, data) if source is None else contextlib.nullcontext(source) as path:
+                out = tmp_path / f"out{len(outputs)}.json"
+                assert main([command, *flags, str(path), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_calls_leave_no_file_open(self, tmp_path, capsys):
+        song, poses = tmp_path / "song.wav", tmp_path / "dance.json"
+        song.write_bytes(click_wav_bytes(120, seconds=2.0))
+        poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=120)))
+        nan = tmp_path / "nan.wav"
+        nan.write_bytes(wav_bytes(np.full(4096, np.nan), 22050, fmt="float32"))
+        calls = [
+            (["detect-beats", "--audio", str(song)], 0),
+            (["extract-rhythm", "--poses", str(poses), "--clip", "none", "--output",
+              str(tmp_path / "r.json")], 0),
+            (["detect-beats", "--audio", str(nan)], 2),  # the mapping outlives a raise in read_wav
+        ]
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for i in range(50):
+            argv, code = calls[i % len(calls)]
+            assert main(argv) == code
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert capsys.readouterr().err.count("NaN sample in frame 0") == 16
 
 
 class TestBadNumericFlags:

@@ -70,6 +70,36 @@ print(json.dumps(steps))
         }
 
 
+class TestExitHook:
+    @pytest.mark.parametrize("collector", ["enabled", "disabled"])
+    def test_main_leaves_one_hook_that_freezes_the_heap_only_at_exit(self, tmp_path, collector):
+        song, bad = tmp_path / "song.wav", tmp_path / "bad.wav"
+        song.write_bytes(click_wav_bytes(120, seconds=5.12))
+        bad.write_bytes(b"RIFF")
+        commands = [
+            ["detect-beats", "--audio", str(song), "--output", str(tmp_path / "beats.json")],
+            ["tempo", "--audio", str(song), "--output", str(tmp_path / "tempo.json")],
+            ["detect-beats", "--audio", str(bad)],
+            ["detect-beats", "--audio", str(song), "--output", str(tmp_path / "beats.json")],
+        ]
+        state = run_python("""
+import atexit, gc
+from kinebeat.cli import main
+if sys.argv[2] == "disabled":
+    gc.disable()
+seen = {"codes": [], "frozen": []}
+# registered before main's hook, so it runs after it
+atexit.register(lambda: print(json.dumps(dict(seen, at_exit=gc.get_freeze_count() > 0))))
+hooks, enabled = atexit._ncallbacks(), gc.isenabled()
+for argv in json.loads(sys.argv[1]):
+    seen["codes"].append(main(argv))
+    seen["frozen"].append(gc.get_freeze_count())
+seen.update(hooks=atexit._ncallbacks() - hooks, enabled_as_it_was=gc.isenabled() == enabled)
+""", json.dumps(commands), collector)
+        assert state == {"codes": [0, 0, 2, 0], "frozen": [0, 0, 0, 0], "hooks": 1,
+                         "enabled_as_it_was": True, "at_exit": True}
+
+
 class TestNamespace:
     def test_modules_and_version(self):
         assert kinebeat.__version__ == "0.1.0"

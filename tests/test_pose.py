@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinebeat
-from kinebeat import pose
+from kinebeat import cli, pose
 from kinebeat.audio import AudioClip, OnsetEnvelope
 from kinebeat.pose import (
     ClipSpec,
@@ -227,18 +227,20 @@ class TestOneConversionPath:
             data = ('{"fps": 60, "frames": [[[1, 2, 0.5]], [[%s]], [[1, 2.5, 1]]]}' % ", ".join(kp)).encode()
             assert outcome(parse_pose_file, data) == outcome(parse_pose_loop, data)
 
-    def test_plain_numbers_skip_the_loop_and_a_true_anywhere_takes_it(self, monkeypatch, rng):
+    def test_plain_numbers_skip_the_loop_and_a_true_anywhere_takes_it(self, monkeypatch, rng, tmp_path):
         frames = random_pose_frames(rng, 20, 4).tolist()
         frames[3][1] = [7, -2, 1]  # ints among the floats still convert in one go
         checked = []
         monkeypatch.setattr(pose, "json_number", lambda v, what: checked.append(what) or float(v))
         plain = make_file(60, frames)
-        np.testing.assert_array_equal(parse_pose_file(plain).frames, np.asarray(frames))
-        assert checked == ["fps"]
-        checked.clear()
         flagged = json.dumps({"fps": 60, "frames": frames, "true": "false"}).encode()
-        np.testing.assert_array_equal(parse_pose_file(flagged).frames, np.asarray(frames))
-        assert len(checked) == 1 + 20 * 4 * 3
+        for name, data in [("plain", plain), ("flagged", flagged)]:
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            for contents in (data, cli._read_file(str(path))):  # bytes, and the CLI's read-only mmap
+                checked.clear()
+                np.testing.assert_array_equal(parse_pose_file(contents).frames, np.asarray(frames))
+                assert checked == ["fps"] if name == "plain" else len(checked) == 1 + 20 * 4 * 3
 
 
 class TestLoadJsonCollector:
