@@ -140,8 +140,8 @@ def read_wav(data) -> AudioClip:
     viewed in place and converted _DECODE_BLOCK frames at a time, the
     blocks split over two threads by pose.run_on_two_threads, each with
     its own scratch block; every block is converted by the same arithmetic,
-    so the clip is bitwise the serial decode. The conversion ignores the
-    caller's np.errstate, so a NaN ends in the one ValueError either way.
+    so the clip is bitwise the serial decode. The conversion ignores the caller's
+    np.errstate; only when AudioClip refuses the clip is its first NaN frame named.
     """
     if len(data) < 12:
         raise ValueError(f"cannot decode WAV: {len(data)} bytes hold no RIFF header")
@@ -183,7 +183,6 @@ def read_wav(data) -> AudioClip:
         raise ValueError("cannot decode WAV: data chunk ends inside a frame")
     raw = np.frombuffer(data, dtype, count=present // dtype.itemsize, offset=pos).reshape(-1, channels)
     samples = np.empty(len(raw))
-    nan_frames = []
 
     def decode(starts):
         # mono converts in the output itself; stereo in a scratch block averaged into it
@@ -199,16 +198,16 @@ def read_wav(data) -> AudioClip:
                 np.add(0.0, block[:, 0], out=out)
                 out += block[:, 1]
                 out /= 2.0
-            if dtype.kind == "f":  # clipping leaves NaN the one non-finite value
-                nan = np.isnan(out)
-                if nan.any():
-                    nan_frames.append(lo + int(np.argmax(nan)))
 
     with np.errstate(invalid="ignore"):  # a signalling NaN's cast raises under invalid="raise"
         run_on_two_threads(decode, range(0, len(raw), _DECODE_BLOCK))
-    if nan_frames:
-        raise ValueError(f"cannot decode WAV: NaN sample in frame {min(nan_frames)}")
-    return AudioClip(sample_rate=sample_rate, samples=samples)
+    try:  # AudioClip's finiteness check is the one pass over the samples
+        return AudioClip(sample_rate=sample_rate, samples=samples)
+    except ValueError:
+        nan = np.isnan(samples)  # clipping leaves NaN the one non-finite value
+        if nan.any():
+            raise ValueError(f"cannot decode WAV: NaN sample in frame {int(np.argmax(nan))}") from None
+        raise
 
 
 def _wav_layout(data: bytes, pos: int, size: int) -> tuple:

@@ -200,8 +200,9 @@ def parse_pose_file(data) -> PoseSequence:
     raw = doc["frames"]
     if not isinstance(raw, list) or len(raw) < 3:
         raise ValueError(f"need at least 3 frames, got {len(raw) if isinstance(raw, list) else 0}")
-    # np.asarray would take bools as numbers; find, since `in` on an mmap compares single bytes
-    if data.find(b"true") < 0 and data.find(b"false") < 0:
+    # np.asarray would take bools as numbers; find, since `in` on an mmap compares single bytes.
+    # A one-byte find is a memchr, so a word is searched for only where its u or l occurs.
+    if (data.find(b"u") < 0 or data.find(b"true") < 0) and (data.find(b"l") < 0 or data.find(b"false") < 0):
         try:  # no dtype: strings, nulls and ints past float64 land in U or O and take the loop
             frames = np.asarray(raw)
         except ValueError:  # ragged lists take the loop too

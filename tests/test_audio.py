@@ -244,6 +244,13 @@ class TestWavDecoderContract:
         pytest.param(_riff(_fmt(0xFFFE, 1, 16), _chunk(b"data", bytes(400))),
                      "cannot decode WAV: WAVE_FORMAT_EXTENSIBLE fmt chunk too short",
                      id="extensible-short"),
+        # the clip's own refusal passes through; a NaN sample is named before it
+        pytest.param(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)),
+                           _chunk(b"data", bytes(400))),
+                     "sample_rate must be a positive integer, got 0", id="zero-rate"),
+        pytest.param(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 0, 0, 4, 32)),
+                           _chunk(b"data", np.float32([0.5, -0.5, 0.0, np.nan, 1.0]).tobytes())),
+                     "cannot decode WAV: NaN sample in frame 3", id="zero-rate-and-nan"),
     ])
     def test_cli_error_line_names_the_file(self, data, message, tmp_path, capsys):
         path = tmp_path / "bad.wav"
@@ -614,6 +621,13 @@ class TestEstimateTempo:
         env = envelope_of(wav_bytes(np.zeros(SR * 2), SR))
         with pytest.raises(ValueError, match="no periodicity"):
             estimate_tempo(env)
+
+    def test_one_spike_has_no_positive_peak(self):
+        values = np.zeros(400)
+        values[200] = 1.0  # mean-removed, every lag pairs the spike with the negative mean
+        with pytest.raises(ValueError, match="^no periodicity above threshold: autocorrelation has no "
+                                             "positive peak$"):
+            estimate_tempo(OnsetEnvelope(frame_rate=86.13, values=values))
 
     def test_too_short_envelope(self):
         env = OnsetEnvelope(frame_rate=86.13, values=np.abs(np.sin(np.arange(40.0))))

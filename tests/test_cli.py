@@ -312,6 +312,15 @@ class TestTempo:
         assert main(["tempo", "--audio", str(wav)]) == 2
         assert "no periodicity" in capsys.readouterr().err
 
+    def test_one_click_exits_2_with_one_line(self, tmp_path, capsys):
+        samples = np.zeros(22050 * 5)
+        samples[22050 * 2] = 0.9  # no lag of its envelope correlates positively
+        wav = tmp_path / "click.wav"
+        wav.write_bytes(wav_bytes(samples, 22050))
+        assert main(["tempo", "--audio", str(wav)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrainToy:
     def test_teacher_student_defaults(self, tmp_path, capsys):
@@ -588,6 +597,10 @@ class TestBadJsonNumbers:
                      'bad.json: keypoint JSON must be an object with "fps" and "frames"', id="pose-no-fps"),
         pytest.param("poses", '{"fps": 60, "frames": [[[true, 0, 1]], [[0, 0, 1]], [[0, 0, 1]]]}',
                      "bad.json: keypoint value at frame 0 must be a number, got True", id="pose-bool"),
+        pytest.param("poses", '{"fps": 60, "frames": [[[0, 0, 1]], 5, [[0, 0, 1]]]}',
+                     "bad.json: frame 1 is not a list of keypoints", id="pose-frame-not-a-list"),
+        pytest.param("ref", '{"bits": [0, 0, 1, 0]}',
+                     'bad.json: rhythm JSON must be an object with "fps" and "bits"', id="rhythm-no-fps"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_2(self, tmp_path, capsys, kind, text, message):
@@ -600,6 +613,7 @@ class TestBadJsonNumbers:
         args = {
             "poses": ["extract-rhythm", "--poses", str(bad), "--output", str(tmp_path / "r.json")],
             "beats": ["evaluate", "--gen", str(bad), "--ref", str(beats)],
+            "ref": ["evaluate", "--gen", str(beats), "--ref", str(bad)],
             "tempo": ["evaluate", "--gen", str(beats), "--ref", str(beats),
                       "--tempo-gen", str(bad), "--tempo-ref", str(tempo)],
         }[kind]

@@ -234,13 +234,15 @@ class TestOneConversionPath:
         monkeypatch.setattr(pose, "json_number", lambda v, what: checked.append(what) or float(v))
         plain = make_file(60, frames)
         flagged = json.dumps({"fps": 60, "frames": frames, "true": "false"}).encode()
-        for name, data in [("plain", plain), ("flagged", flagged)]:
+        # its u and l are in an extra key, so "true" and "false" are searched for, and not found
+        keyed = json.dumps({"fps": 60, "frames": frames, "source": "lab"}).encode()
+        for name, data in [("plain", plain), ("flagged", flagged), ("keyed", keyed)]:
             path = tmp_path / f"{name}.json"
             path.write_bytes(data)
             for contents in (data, cli._read_file(str(path))):  # bytes, and the CLI's read-only mmap
                 checked.clear()
                 np.testing.assert_array_equal(parse_pose_file(contents).frames, np.asarray(frames))
-                assert checked == ["fps"] if name == "plain" else len(checked) == 1 + 20 * 4 * 3
+                assert checked == ["fps"] if name != "flagged" else len(checked) == 1 + 20 * 4 * 3
 
 
 class TestLoadJsonCollector:
