@@ -2,7 +2,8 @@
 
 One binary, six subcommands: extract-rhythm, detect-beats, evaluate, tempo,
 train-toy, gradcheck. Exit codes: 0 success, 1 check failure (gradcheck),
-2 input or usage error: one "error:" line, naming the file if one fails to parse.
+2 input or usage error or out of memory: one "error:" line, naming the file that failed
+to parse, or whose data failed, or the command that ran out of memory.
 Output is JSON by default; evaluate can also emit CSV rows per clip and a summary.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import gc
 import io
 import json
@@ -58,6 +60,8 @@ def _read_file(path: str):
             return file.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except MemoryError:
+        raise ValueError(f"{path}: out of memory") from None
 
 
 def _write_output(payload: str, output) -> None:
@@ -69,13 +73,22 @@ def _write_output(payload: str, output) -> None:
         Path(output).write_text(payload, encoding="utf-8")
 
 
-def _parse_file(path, parse):
-    """parse(the contents of path, from _read_file); a ValueError from parse names the file."""
-    data = _read_file(path)
+@contextlib.contextmanager
+def _naming(path):
+    """A ValueError raised in the block names path, and so does running out of memory there."""
     try:
-        return parse(data)
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except MemoryError:
+        raise ValueError(f"{path}: out of memory") from None
+
+
+def _parse_file(path, parse):
+    """parse(the contents of path, from _read_file), under _naming(path)."""
+    data = _read_file(path)
+    with _naming(path):
+        return parse(data)
 
 
 def _parse_beats(data: bytes) -> audio.BeatList:
@@ -107,20 +120,21 @@ def _cmd_extract_rhythm(args) -> int:
     spec = None if seconds is None else pose.ClipSpec(duration=seconds)
     seq = _parse_file(args.poses, pose.parse_pose_file)
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
-    if spec is None:
-        docs = {base: rhythm.extract_rhythm(seq, config).to_json()}
-    else:
-        clips = pose.segment_clips(seq, spec)
-        if not clips:
-            raise ValueError(f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip")
-        docs = {}
-        for i, clip in enumerate(clips):  # all clips first, so a failing one leaves no file
-            try:
-                doc = rhythm.extract_rhythm(clip, config).to_json()
-            except ValueError as exc:
-                first, last = i * clip.n_frames, (i + 1) * clip.n_frames - 1
-                raise ValueError(f"{exc} (clip {i}, frames {first}-{last})") from exc
-            docs[base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}")] = doc
+    with _naming(args.poses):
+        if spec is None:
+            docs = {base: rhythm.extract_rhythm(seq, config).to_json()}
+        else:
+            clips = pose.segment_clips(seq, spec)
+            if not clips:
+                raise ValueError(f"input of {seq.n_frames} frames is shorter than one {args.clip} s clip")
+            docs = {}
+            for i, clip in enumerate(clips):  # all clips first, so a failing one leaves no file
+                try:
+                    doc = rhythm.extract_rhythm(clip, config).to_json()
+                except ValueError as exc:
+                    first, last = i * clip.n_frames, (i + 1) * clip.n_frames - 1
+                    raise ValueError(f"{exc} (clip {i}, frames {first}-{last})") from exc
+                docs[base.with_name(f"{base.stem}_clip{i:03d}{base.suffix}")] = doc
     for path, doc in docs.items():
         path.write_bytes(doc)
         print(path)
@@ -129,16 +143,18 @@ def _cmd_extract_rhythm(args) -> int:
 
 def _cmd_detect_beats(args) -> int:
     clip = _parse_file(args.audio, audio.read_wav)
-    env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
-    beats = audio.pick_beats(env, window=args.peak_window, delta=args.delta)
+    with _naming(args.audio):
+        env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
+        beats = audio.pick_beats(env, window=args.peak_window, delta=args.delta)
     _write_output(beats.to_json().decode("utf-8"), args.output)
     return 0
 
 
 def _cmd_tempo(args) -> int:
     clip = _parse_file(args.audio, audio.read_wav)
-    env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
-    estimate = audio.estimate_tempo(env, bpm_min=args.bpm_min, bpm_max=args.bpm_max)
+    with _naming(args.audio):
+        env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
+        estimate = audio.estimate_tempo(env, bpm_min=args.bpm_min, bpm_max=args.bpm_max)
     _write_output(estimate.to_json().decode("utf-8"), args.output)
     return 0
 
@@ -381,13 +397,18 @@ def main(argv=None) -> int:
     if not _exit_hook_registered:  # frozen at exit, the heap is left out of the last collections
         atexit.register(gc.freeze)
         _exit_hook_registered = True
+    command = "kinebeat"
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         with np.errstate(all="ignore"):  # the data types refuse a non-finite result themselves
             return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except MemoryError:  # outside any one file's parse and processing
+        message = f"out of memory in {command}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ class ModelDims:
     embed_dim: int = 16      # d: textual embedding width
     hidden: int = 32         # MLP hidden width
     attn_dim: int = 16       # per-frame width inside the attention projector
-    rhythm_len: int = 308    # fixed rhythm input length (5.12 s at 60 fps)
+    rhythm_len: int = 308    # fixed rhythm input length; a 5.12 s clip at 60 fps (307) gets one zero
     n_genres: int = 10
     target_dim: int = 24     # regression target width
     audio_vocab: int = 32    # toy audio-token vocabulary (categorical mode)

@@ -90,6 +90,17 @@ def wav_bytes(samples, sample_rate, fmt="pcm16"):
     return buf.getvalue()
 
 
+def one_error_line(code, out, err) -> str:
+    """cli.main's contract for bad input, asserted on its exit code, stdout and stderr: exit 2,
+    nothing on stdout, and one stderr line that starts with "error: " and holds no traceback and
+    no usage text. Returns that line without its newline."""
+    assert code == 2, (code, out, err)
+    assert out == "", out
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err and "usage:" not in err, err
+    return err[:-1]
+
+
 def random_pose_frames(rng, n_frames, n_joints, scale=100.0):
     """Random (T, J, 3) nested lists with confidences in [0, 1]."""
     xy = rng.uniform(-scale, scale, size=(n_frames, n_joints, 2))

@@ -29,7 +29,7 @@ from kinebeat.audio import (
 from kinebeat.cli import main
 from kinebeat.rhythm import RhythmSequence
 
-from conftest import click_wav_bytes, pick_beats_loop, wav_bytes
+from conftest import click_wav_bytes, one_error_line, pick_beats_loop, wav_bytes
 
 SR = 22050
 
@@ -220,10 +220,8 @@ class TestWavDecoderContract:
             read_wav(data)
         path = tmp_path / "bad.wav"
         path.write_bytes(data)
-        assert main(["detect-beats", "--audio", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        line = one_error_line(main(["detect-beats", "--audio", str(path)]), *capsys.readouterr())
+        assert line.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("data, message", [
         pytest.param(_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, SR, 4 * SR, 4, 16)),
@@ -255,8 +253,8 @@ class TestWavDecoderContract:
     def test_cli_error_line_names_the_file(self, data, message, tmp_path, capsys):
         path = tmp_path / "bad.wav"
         path.write_bytes(data)
-        assert main(["detect-beats", "--audio", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        line = one_error_line(main(["detect-beats", "--audio", str(path)]), *capsys.readouterr())
+        assert line == f"error: {path}: {message}"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int16])
     def test_stereo_mixdown_is_bitwise_the_row_mean(self, dtype):

@@ -4,8 +4,10 @@ import inspect
 import json
 import mmap
 import os
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from kinebeat.rhythm import RhythmSequence
 
 from conftest import (
     click_wav_bytes,
+    one_error_line,
     pick_beats_loop,
     pose_from_xy,
     random_pose_frames,
@@ -75,21 +78,21 @@ class TestExtractRhythm:
             assert len(RhythmSequence.from_json(clip.read_bytes()).bits) == 307
 
     def test_missing_file_exits_2(self, capsys):
-        assert main(["extract-rhythm", "--poses", "/nonexistent.json"]) == 2
-        assert "error:" in capsys.readouterr().err
+        code = main(["extract-rhythm", "--poses", "/nonexistent.json"])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == "error: cannot read /nonexistent.json: No such file or directory"
 
     def test_unknown_flag_exits_2(self, capsys):
-        assert main(["extract-rhythm", "--poses", "x.json", "--bogus"]) == 2
-        assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
+        code = main(["extract-rhythm", "--poses", "x.json", "--bogus"])
+        assert one_error_line(code, *capsys.readouterr()) == "error: unrecognized arguments: --bogus"
 
     def test_take_shorter_than_one_clip_exits_2(self, tmp_path, capsys):
         poses = tmp_path / "short.json"
         poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=306)))  # a 5.12 s clip is 307
         out = tmp_path / "short.rhythm.json"
-        assert main(["extract-rhythm", "--poses", str(poses), "--output", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: input of 306 frames is shorter than one 5.12 s clip\n"
-        assert captured.out == ""
+        code = main(["extract-rhythm", "--poses", str(poses), "--output", str(out)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == f"error: {poses}: input of 306 frames is shorter than one 5.12 s clip"
         assert list(tmp_path.iterdir()) == [poses]
 
     def test_failing_clip_is_named_and_nothing_is_written(self, tmp_path, capsys):
@@ -97,11 +100,9 @@ class TestExtractRhythm:
         frames[614:921, 0, 2] = 0.1  # joint 0 occluded for all of clip 2
         poses = tmp_path / "occluded.json"
         poses.write_bytes(serialize_pose_file(PoseSequence(60.0, frames)))
-        assert main(["extract-rhythm", "--poses", str(poses), "--output", str(tmp_path / "out.json")]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == ("error: joint 0 has no frame with confidence >= 0.3 "
-                                "(clip 2, frames 614-920)\n")
-        assert captured.out == ""
+        code = main(["extract-rhythm", "--poses", str(poses), "--output", str(tmp_path / "out.json")])
+        assert one_error_line(code, *capsys.readouterr()) == (
+            f"error: {poses}: joint 0 has no frame with confidence >= 0.3 (clip 2, frames 614-920)")
         assert not list(tmp_path.glob("out*.json"))
 
 
@@ -124,7 +125,15 @@ class TestDetectBeats:
     def test_unsupported_codec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"RIFFxxxxWAVEfmt ")
-        assert main(["detect-beats", "--audio", str(bad)]) == 2
+        line = one_error_line(main(["detect-beats", "--audio", str(bad)]), *capsys.readouterr())
+        assert line == f"error: {bad}: cannot decode WAV: file ends inside a chunk header at byte 12"
+
+    @pytest.mark.parametrize("command", ["detect-beats", "tempo"])
+    def test_clip_shorter_than_one_window_names_the_wav(self, tmp_path, capsys, command):
+        wav = tmp_path / "short.wav"
+        wav.write_bytes(wav_bytes(np.zeros(500), 22050))  # an STFT window is 1024 samples
+        line = one_error_line(main([command, "--audio", str(wav)]), *capsys.readouterr())
+        assert line == f"error: {wav}: clip too short: 500 samples hold 0 full window(s)"
 
 
 class TestEvaluate:
@@ -182,19 +191,15 @@ class TestEvaluate:
         tempo = ["--tempo-gen", str(tg), "--tempo-ref", str(tr)]
         for extra in (["--phase-align"], tempo, tempo + ["--phase-align"]):
             args = ["evaluate", "--gen", str(b), "--ref", str(b), "--format", "csv", *extra]
-            assert main(args) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert "--format json" in captured.err
+            line = one_error_line(main(args), *capsys.readouterr())
+            assert line == "error: --phase-align, --tempo-gen and --tempo-ref need --format json"
 
     def test_lone_tempo_flag_refused_before_reading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         for flag in ("--tempo-gen", "--tempo-ref"):
             args = ["evaluate", "--gen", missing, "--ref", missing, flag, missing]
-            assert main(args) == 2
-            err = capsys.readouterr().err
-            assert err == "error: --tempo-gen and --tempo-ref must be given together\n"
+            line = one_error_line(main(args), *capsys.readouterr())
+            assert line == "error: --tempo-gen and --tempo-ref must be given together"
 
     def test_each_input_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         bits = np.zeros(120, dtype=int)
@@ -250,10 +255,9 @@ class TestEvaluate:
     def test_unpaired_gen_and_ref_lists_exit_2(self, tmp_path, capsys):
         beats = tmp_path / "beats.json"
         beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
-        assert main(["evaluate", "--gen", str(beats), str(beats), "--ref", str(beats)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: got 2 generated and 1 reference files; need pairs\n"
-        assert captured.out == ""
+        code = main(["evaluate", "--gen", str(beats), str(beats), "--ref", str(beats)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == "error: got 2 generated and 1 reference files; need pairs"
 
     @pytest.mark.parametrize("text", ['{"bpm": 120.0}', "[0.5, 1.0]", '"beats_sec"'])
     def test_neither_beats_nor_rhythm_exits_2(self, tmp_path, capsys, text):
@@ -261,23 +265,24 @@ class TestEvaluate:
         beats.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
         other = tmp_path / "other.json"
         other.write_text(text)
-        assert main(["evaluate", "--gen", str(beats), "--ref", str(other)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f'error: {other}: expected "beats_sec" or a rhythm file with "bits"\n'
-        assert captured.out == ""
+        code = main(["evaluate", "--gen", str(beats), "--ref", str(other)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == f'error: {other}: expected "beats_sec" or a rhythm file with "bits"'
 
-    def test_unparseable_input_exits_2(self, tmp_path):
+    def test_unparseable_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
-        assert main(["evaluate", "--gen", str(bad), "--ref", str(bad)]) == 2
+        line = one_error_line(main(["evaluate", "--gen", str(bad), "--ref", str(bad)]), *capsys.readouterr())
+        assert line.startswith(f"error: {bad}: malformed JSON: ")
 
     def test_error_names_the_bad_file_among_several(self, tmp_path, capsys):
         good = tmp_path / "a.json"
         good.write_bytes(BeatList(times=np.array([0.5, 1.0])).to_json())
         bad = tmp_path / "b.json"
         bad.write_text('{"beats_sec": [1.0, 0.5]}')
-        assert main(["evaluate", "--gen", str(good), str(bad), "--ref", str(good), str(good)]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: beat times must be strictly ascending\n"
+        code = main(["evaluate", "--gen", str(good), str(bad), "--ref", str(good), str(good)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == f"error: {bad}: beat times must be strictly ascending"
 
     def test_error_names_a_bad_tempo_ref(self, tmp_path, capsys):
         beats = tmp_path / "beats.json"
@@ -286,15 +291,16 @@ class TestEvaluate:
         tg.write_text('{"bpm": 120.0}')
         tr = tmp_path / "tr.json"
         tr.write_text('{"bpm": -1}')
-        assert main(["evaluate", "--gen", str(beats), "--ref", str(beats),
-                     "--tempo-gen", str(tg), "--tempo-ref", str(tr)]) == 2
-        assert capsys.readouterr().err == f"error: {tr}: bpm must be a positive finite number, got -1\n"
+        code = main(["evaluate", "--gen", str(beats), "--ref", str(beats),
+                     "--tempo-gen", str(tg), "--tempo-ref", str(tr)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line == f"error: {tr}: bpm must be a positive finite number, got -1"
 
     def test_unreadable_file_named_once(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
-        assert main(["evaluate", "--gen", str(missing), "--ref", str(missing)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read {missing}: ") and err.count(str(missing)) == 1
+        code = main(["evaluate", "--gen", str(missing), "--ref", str(missing)])
+        line = one_error_line(code, *capsys.readouterr())
+        assert line.startswith(f"error: cannot read {missing}: ") and line.count(str(missing)) == 1
 
 
 class TestTempo:
@@ -309,17 +315,16 @@ class TestTempo:
     def test_silence_exits_2(self, tmp_path, capsys):
         wav = tmp_path / "silence.wav"
         wav.write_bytes(wav_bytes(np.zeros(22050 * 2), 22050))
-        assert main(["tempo", "--audio", str(wav)]) == 2
-        assert "no periodicity" in capsys.readouterr().err
+        line = one_error_line(main(["tempo", "--audio", str(wav)]), *capsys.readouterr())
+        assert line == f"error: {wav}: no periodicity above threshold: envelope is constant"
 
     def test_one_click_exits_2_with_one_line(self, tmp_path, capsys):
         samples = np.zeros(22050 * 5)
         samples[22050 * 2] = 0.9  # no lag of its envelope correlates positively
         wav = tmp_path / "click.wav"
         wav.write_bytes(wav_bytes(samples, 22050))
-        assert main(["tempo", "--audio", str(wav)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        line = one_error_line(main(["tempo", "--audio", str(wav)]), *capsys.readouterr())
+        assert line == f"error: {wav}: no periodicity above threshold: autocorrelation has no positive peak"
 
 
 class TestTrainToy:
@@ -368,10 +373,11 @@ class TestTrainToy:
         assert main(["train-toy", "--data", str(data), "--epochs", "1", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == TrainingConfig().seed
 
-    def test_empty_dir_exits_2(self, tmp_path):
+    def test_empty_dir_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
-        assert main(["train-toy", "--data", str(data)]) == 2
+        line = one_error_line(main(["train-toy", "--data", str(data)]), *capsys.readouterr())
+        assert line == f"error: no *.json samples found in {data}"
 
     @pytest.mark.parametrize("text", [
         pytest.param("[1, 2]", id="top-level-list"),
@@ -404,11 +410,8 @@ class TestTrainToy:
         genre = json.dumps([1] + [0] * (ModelDims().n_genres - 1))
         (data / "s.json").write_text(text % {"genre": genre, "huge": "0" * 400})
         out = tmp_path / "ckpt.json"
-        assert main(["train-toy", "--data", str(data), "--epochs", "1", "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        assert "s.json" in err
+        code = main(["train-toy", "--data", str(data), "--epochs", "1", "--output", str(out)])
+        assert "s.json" in one_error_line(code, *capsys.readouterr())
 
     @pytest.mark.parametrize("fps", ['"abc"', "-1", "true", "0", "NaN"])
     def test_bad_rhythm_fps_exits_2(self, tmp_path, capsys, fps):
@@ -425,10 +428,8 @@ class TestTrainToy:
         capsys.readouterr()
         doc["rhythm"]["fps"] = "#"
         path.write_text(json.dumps(doc).replace('"#"', fps))
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "sample001.json" in err and '"rhythm.fps"' in err
+        line = one_error_line(main(args), *capsys.readouterr())
+        assert "sample001.json" in line and '"rhythm.fps"' in line
 
     @pytest.mark.parametrize("target", [[], [1.7]])
     def test_bad_token_ids_exit_2(self, tmp_path, capsys, target):
@@ -439,10 +440,7 @@ class TestTrainToy:
         (data / "s.json").write_text(json.dumps(doc))
         args = ["train-toy", "--data", str(data), "--mode", "categorical", "--epochs", "1",
                 "--output", str(tmp_path / "ckpt.json")]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "token ids" in err and "Traceback" not in err
+        assert "token ids" in one_error_line(main(args), *capsys.readouterr())
         doc["target"] = [1.0]  # an integral float is a token id
         (data / "s.json").write_text(json.dumps(doc))
         assert main(args) == 0
@@ -456,19 +454,16 @@ class TestTrainToy:
         path.write_text(path.read_text().replace('"target": [', '"target": [NaN, ', 1))
         args = ["train-toy", "--data", str(data), "--epochs", "1",
                 "--output", str(tmp_path / "ckpt.json")]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "sample000.json" in err and "finite" in err and "Traceback" not in err
+        line = one_error_line(main(args), *capsys.readouterr())
+        assert "sample000.json" in line and "finite" in line
 
     def test_divergent_lr_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         write_dataset(data, n=4)
         args = ["train-toy", "--data", str(data), "--lr", "1e6", "--epochs", "50",
                 "--output", str(tmp_path / "ckpt.json")]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged at epoch") and err.count("\n") == 1
+        line = one_error_line(main(args), *capsys.readouterr())
+        assert line.startswith("error: training diverged at epoch")
         assert not (tmp_path / "ckpt.json").exists()
 
 
@@ -477,30 +472,24 @@ class TestDeeplyNestedJson:
 
     NESTED = "[" * 100_000
 
-    def _assert_one_error_line(self, capsys, args):
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-
     def test_train_toy(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
         (data / "s.json").write_text(self.NESTED)
-        self._assert_one_error_line(
-            capsys, ["train-toy", "--data", str(data), "--output", str(tmp_path / "c.json")]
-        )
+        code = main(["train-toy", "--data", str(data), "--output", str(tmp_path / "c.json")])
+        assert one_error_line(code, *capsys.readouterr()).startswith(f"error: {data / 's.json'}: ")
 
     def test_extract_rhythm(self, tmp_path, capsys):
         poses = tmp_path / "poses.json"
         poses.write_text(self.NESTED)
-        self._assert_one_error_line(capsys, ["extract-rhythm", "--poses", str(poses),
-                                             "--output", str(tmp_path / "r.json")])
+        code = main(["extract-rhythm", "--poses", str(poses), "--output", str(tmp_path / "r.json")])
+        assert one_error_line(code, *capsys.readouterr()).startswith(f"error: {poses}: ")
 
     def test_evaluate_beats(self, tmp_path, capsys):
         bad = tmp_path / "beats.json"
         bad.write_text(self.NESTED)
-        self._assert_one_error_line(capsys, ["evaluate", "--gen", str(bad), "--ref", str(bad)])
+        code = main(["evaluate", "--gen", str(bad), "--ref", str(bad)])
+        assert one_error_line(code, *capsys.readouterr()).startswith(f"error: {bad}: ")
 
     def test_evaluate_tempo(self, tmp_path, capsys):
         beats = tmp_path / "beats.json"
@@ -509,8 +498,9 @@ class TestDeeplyNestedJson:
         bad.write_text(self.NESTED)
         ref = tmp_path / "tempo_ref.json"
         ref.write_text('{"bpm": 120.0}')
-        self._assert_one_error_line(capsys, ["evaluate", "--gen", str(beats), "--ref", str(beats),
-                                             "--tempo-gen", str(bad), "--tempo-ref", str(ref)])
+        code = main(["evaluate", "--gen", str(beats), "--ref", str(beats),
+                     "--tempo-gen", str(bad), "--tempo-ref", str(ref)])
+        assert one_error_line(code, *capsys.readouterr()).startswith(f"error: {bad}: ")
 
 
 class TestPeakWindowFlags:
@@ -527,9 +517,8 @@ class TestPeakWindowFlags:
         wav.write_bytes(click_wav_bytes(120, seconds=2.0))
         path = poses if input_flag == "--poses" else wav
         args = [command, input_flag, str(path), flag, "inf", "--output", str(tmp_path / "out.json")]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: window must be positive and finite") and err.count("\n") == 1
+        line = one_error_line(main(args), *capsys.readouterr())
+        assert line.startswith(f"error: {path}: window must be positive and finite")
 
     def test_huge_window_matches_oracle(self, tmp_path, rng):
         frames = random_pose_frames(rng, 60, 3)
@@ -579,10 +568,14 @@ class TestBadJsonNumbers:
         pytest.param("tempo", '{"bpm": null}', "bad.json: bpm must be a number, got None", id="bpm-null"),
         pytest.param("tempo", '{"bpm": "120"}', "bad.json: bpm must be a number, got '120'", id="bpm-string"),
         pytest.param("poses", '{"fps": 1, "frames": [[[1e200, 0, 1]]%s]}' % (", [[0, 0, 1]]" * 4),
-                     "speeds must be finite and nonnegative (clip 0, frames 0-4)", id="pose-speed-overflow"),
+                     "bad.json: speeds must be finite and nonnegative (clip 0, frames 0-4)",
+                     id="pose-speed-overflow"),
         pytest.param("poses", '{"fps": 1, "frames": [[[1e308, 0, 1]], [[-1e308, 0, 1]]%s]}'
-                     % (", [[0, 0, 1]]" * 3), "velocity values must be finite (clip 0, frames 0-4)",
+                     % (", [[0, 0, 1]]" * 3), "bad.json: velocity values must be finite (clip 0, frames 0-4)",
                      id="pose-velocity-overflow"),
+        pytest.param("whole", '{"fps": 1, "frames": [[[1e308, 0, 1]], [[-1e308, 0, 1]]%s]}'
+                     % (", [[0, 0, 1]]" * 3), "bad.json: velocity values must be finite",
+                     id="pose-velocity-overflow-whole-take"),
         pytest.param("beats", '{"fps": 1e-320, "bits": [0, 0, 1]}',
                      "bad.json: beat times must be finite and nonnegative", id="rhythm-beat-time-overflow"),
         pytest.param("beats", '{"fps": 60, "bits": [0, 0, 2]}', "bad.json: bits must be 0 or 1",
@@ -612,15 +605,14 @@ class TestBadJsonNumbers:
         tempo.write_text('{"bpm": 120.0}')
         args = {
             "poses": ["extract-rhythm", "--poses", str(bad), "--output", str(tmp_path / "r.json")],
+            "whole": ["extract-rhythm", "--poses", str(bad), "--clip", "none",
+                      "--output", str(tmp_path / "r.json")],
             "beats": ["evaluate", "--gen", str(bad), "--ref", str(beats)],
             "ref": ["evaluate", "--gen", str(beats), "--ref", str(bad)],
             "tempo": ["evaluate", "--gen", str(beats), "--ref", str(beats),
                       "--tempo-gen", str(bad), "--tempo-ref", str(tempo)],
         }[kind]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert one_error_line(main(args), *capsys.readouterr()).endswith(message)
 
 
 @contextlib.contextmanager
@@ -679,18 +671,24 @@ class TestReadFile:
         poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=120)))
         nan = tmp_path / "nan.wav"
         nan.write_bytes(wav_bytes(np.full(4096, np.nan), 22050, fmt="float32"))
-        calls = [
-            (["detect-beats", "--audio", str(song)], 0),
+        calls = [  # each with its error line, or None for a success
+            (["detect-beats", "--audio", str(song)], None),
             (["extract-rhythm", "--poses", str(poses), "--clip", "none", "--output",
-              str(tmp_path / "r.json")], 0),
-            (["detect-beats", "--audio", str(nan)], 2),  # the mapping outlives a raise in read_wav
+              str(tmp_path / "r.json")], None),
+            # the mapping outlives a raise in read_wav
+            (["detect-beats", "--audio", str(nan)],
+             f"error: {nan}: cannot decode WAV: NaN sample in frame 0"),
         ]
         open_fds = len(os.listdir("/proc/self/fd"))
         for i in range(50):
-            argv, code = calls[i % len(calls)]
-            assert main(argv) == code
+            argv, error = calls[i % len(calls)]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if error is None:
+                assert code == 0 and err == ""
+            else:
+                assert one_error_line(code, out, err) == error
         assert len(os.listdir("/proc/self/fd")) == open_fds
-        assert capsys.readouterr().err.count("NaN sample in frame 0") == 16
 
 
 class TestBadNumericFlags:
@@ -724,11 +722,75 @@ class TestBadNumericFlags:
             path = tmp_path / "clicks.wav"
             path.write_bytes(click_wav_bytes(120, seconds=3.0))
             source = ["--audio", str(path)]
-        assert main([command, *source, *flags, "--output", str(tmp_path / "out.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err and "Traceback" not in err
+        code = main([command, *source, *flags, "--output", str(tmp_path / "out.json")])
+        assert message in one_error_line(code, *capsys.readouterr())
         assert not list(tmp_path.glob("out*.json"))
+
+
+# Runs main in a child whose address space may grow by HEADROOM beyond its size after import.
+# The limit is set on the child alone (setrlimit on itself), after its imports.
+LIMITED_MAIN = """
+import resource, sys
+import kinebeat.cli
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(kinebeat.cli.main(sys.argv[2:]))
+"""
+# writes 128 MB of zeros to stdout, 1 MB at a time
+ZEROS = "import os\nfor _ in range(128):\n    os.write(1, bytes(1 << 20))"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+class TestOutOfMemory:
+    """An input too large for the memory left exits 2 with one line naming it, as bad input does."""
+
+    HEADROOM = 64 << 20
+
+    @pytest.mark.parametrize("source", ["poses", "wav", "pipe"])
+    def test_exits_2_with_one_line_naming_the_file(self, tmp_path, source):
+        writer = None
+        if source == "poses":  # 32 MB of JSON; its parsed lists take over 150 MB
+            path, argv = tmp_path / "take.json", ["extract-rhythm", "--poses"]
+            frame = "[" + ", ".join(["[1.5, 2.5, 1.0]"] * 17) + "]"
+            path.write_text('{"fps": 60, "frames": [' + ", ".join([frame] * 110_000) + "]}")
+        elif source == "wav":  # 32 MB of 16-bit silence, decoded to 128 MB of float64 samples
+            path, argv, size = tmp_path / "song.wav", ["detect-beats", "--audio"], 32 << 20
+            with open(path, "wb") as wav:  # the samples are the file's sparse tail of zeros
+                wav.write(b"RIFF" + struct.pack("<I", 36 + size) + b"WAVEfmt "
+                          + struct.pack("<IHHIIHH", 16, 1, 1, 22050, 44100, 2, 16) + b"data"
+                          + struct.pack("<I", size))
+                wav.truncate(44 + size)
+        else:  # a pipe cannot be mapped, so it is read whole: 128 MB
+            path, argv = "/dev/stdin", ["extract-rhythm", "--poses"]
+            writer = subprocess.Popen([sys.executable, "-c", ZEROS], stdout=subprocess.PIPE,
+                                      stderr=subprocess.DEVNULL)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run([sys.executable, "-c", LIMITED_MAIN, str(self.HEADROOM), *argv, str(path),
+                                   "--output", str(tmp_path / "out.json")],
+                                  stdin=writer.stdout if writer else None, env=env, capture_output=True,
+                                  text=True, timeout=120)
+        finally:
+            if writer is not None:
+                writer.kill()
+                writer.wait(timeout=60)
+                writer.stdout.close()
+        line = one_error_line(proc.returncode, proc.stdout, proc.stderr)
+        assert line == f"error: {path}: out of memory"
+        assert not list(tmp_path.glob("out*.json"))
+
+    def test_outside_a_file_names_the_command(self, tmp_path, monkeypatch, capsys):
+        wav = tmp_path / "clicks.wav"
+        wav.write_bytes(click_wav_bytes(120, seconds=2.0))
+
+        def no_memory(self):
+            raise MemoryError
+
+        monkeypatch.setattr(BeatList, "to_json", no_memory)
+        line = one_error_line(main(["detect-beats", "--audio", str(wav)]), *capsys.readouterr())
+        assert line == "error: out of memory in detect-beats"
 
 
 class TestGradcheckCommand:
@@ -802,8 +864,8 @@ class TestBadSeeds:
         monkeypatch.setattr(cli, "_read_file", lambda path: read.append(path))
         source = ["--data", str(data)] if command == "train-toy" else []
         out = tmp_path / "out.json"
-        assert main([command, *source, *flags, "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        code = main([command, *source, *flags, "--output", str(out)])
+        assert one_error_line(code, *capsys.readouterr()) == f"error: {message}"
         assert read == []
         assert not out.exists()
 

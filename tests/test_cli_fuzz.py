@@ -26,7 +26,7 @@ from kinebeat.cli import ENV_SEED, main
 from kinebeat.inversion import ModelDims, make_teacher_student_dataset, sample_json_dict
 from kinebeat.pose import serialize_pose_file
 
-from conftest import click_wav_bytes, triangle_pose
+from conftest import click_wav_bytes, one_error_line, triangle_pose
 
 HUGE = "1" + "0" * 400
 NOT_NUMBERS = [HUGE, "-" + HUGE, "true", "false", "null", '"1"', "[1]", "[[0, 1]]", '{"a": 1}',
@@ -173,15 +173,12 @@ BAD_INPUTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_bad_input_exits_2_with_one_error_line(case):
     kind, payload = case
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv, env = _argv(kind, payload, Path(tmp))
-        with redirect_stdout(io.StringIO()), redirect_stderr(err), mock.patch.dict(os.environ, env):
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, env):
             code = main(argv)
-    message = err.getvalue()
-    assert code == 2, (argv, message)
-    assert message.startswith("error: ") and message.count("\n") == 1, message
-    assert "Traceback" not in message and "usage:" not in message
+    message = one_error_line(code, out.getvalue(), err.getvalue())
     if kind in DOCUMENTS:  # a JSON input is refused while it is parsed, and named once
         named = Path(tmp) / ("data/s.json" if kind == "sample" else "bad")
         assert message.count(str(named)) == 1, message
@@ -189,7 +186,4 @@ def test_bad_input_exits_2_with_one_error_line(case):
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_exits_2_with_one_error_line(argv, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "usage:" not in captured.err
+    one_error_line(main(argv), *capsys.readouterr())

@@ -898,3 +898,33 @@ class TestSampleJson:
             np.testing.assert_array_equal(back.genre, s.genre)
             np.testing.assert_array_equal(back.target, s.target)
             assert back.target.dtype == s.target.dtype
+
+
+def diverging_on_the_last_step():
+    """One epoch whose loss is finite and an update so large that the final loss is not."""
+    ds = make_teacher_student_dataset(SMALL, "mlp", "regression", 4, seed=3, frozen_seed=2)
+    train(TrainingConfig(learning_rate=1e300, epochs=1, seed=3, frozen_seed=2), ds, SMALL)
+
+
+@pytest.mark.parametrize("misuse, message", [
+    pytest.param(lambda: ModelDims(hidden=0), "hidden must be positive", id="dims-nonpositive"),
+    pytest.param(lambda: ModelDims(n_genres=1), "need at least 2 genres", id="dims-one-genre"),
+    pytest.param(lambda: TrainingConfig(variant="rnn"),
+                 "variant must be one of ('mlp', 'attnpos'), got 'rnn'", id="config-variant"),
+    pytest.param(lambda: TrainingConfig(mode="ranking"),
+                 "mode must be one of ('regression', 'categorical'), got 'ranking'", id="config-mode"),
+    pytest.param(lambda: build_frozen(SMALL, "ranking", 0),
+                 "mode must be one of ('regression', 'categorical'), got 'ranking'", id="frozen-mode"),
+    pytest.param(lambda: init_encoder_params(SMALL, "rnn", 0),
+                 "variant must be one of ('mlp', 'attnpos'), got 'rnn'", id="init-variant"),
+    pytest.param(lambda: prepare_batch([], SMALL, "regression"), "batch must be nonempty",
+                 id="empty-batch"),
+    pytest.param(diverging_on_the_last_step, "training diverged at epoch 1: loss is not finite",
+                 id="final-loss-diverged"),
+    pytest.param(lambda: load_checkpoint(b'{"version": 2}'), "unsupported checkpoint format",
+                 id="checkpoint-version"),
+])
+def test_misuse_raises_its_message(misuse, message):
+    with pytest.raises(ValueError) as exc:
+        misuse()
+    assert str(exc.value) == message

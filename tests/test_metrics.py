@@ -182,6 +182,12 @@ class TestPhaseAlign:
         with pytest.raises(ValueError, match="finite"):
             phase_align(beats(1.0), beats(1.0), search_range=search_range, step=step)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -0.05, math.nan])
+    def test_non_positive_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError) as exc:
+            phase_align(beats(1.0), beats(1.0), tolerance=tolerance)
+        assert str(exc.value) == f"tolerance must be positive, got {tolerance!r}"
+
     @pytest.mark.parametrize("step", [0.0, -0.01])
     def test_non_positive_step_rejected(self, step):
         with pytest.raises(ValueError, match="step must be positive"):

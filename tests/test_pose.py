@@ -14,6 +14,7 @@ from kinebeat.audio import AudioClip, OnsetEnvelope
 from kinebeat.pose import (
     ClipSpec,
     PoseSequence,
+    finite_array,
     interpolate_low_confidence,
     load_json,
     parse_pose_file,
@@ -359,3 +360,19 @@ class TestSegment:
         if clips:
             stitched = np.concatenate([c.frames for c in clips], axis=0)
             np.testing.assert_array_equal(stitched, seq.frames[: len(clips) * clip_len])
+
+
+@pytest.mark.parametrize("misuse, message", [
+    pytest.param(lambda: finite_array([1.0, 2.0], "offsets", 2), "offsets must have 2 axes, got shape (2,)",
+                 id="array-rank"),
+    pytest.param(lambda: PoseSequence(60.0, np.zeros((4, 2, 2))),
+                 "frames must have shape (T, J, 3), got (4, 2, 2)", id="frames-shape"),
+    pytest.param(lambda: PoseSequence(60.0, np.zeros((2, 1, 3))), "need at least 3 frames, got 2",
+                 id="frame-count"),
+    pytest.param(lambda: PoseSequence(60.0, np.zeros((3, 0, 3))), "need at least 1 joint",
+                 id="joint-count"),
+])
+def test_misuse_raises_its_message(misuse, message):
+    with pytest.raises(ValueError) as exc:
+        misuse()
+    assert str(exc.value) == message

@@ -13,6 +13,7 @@ from kinebeat.rhythm import (
     RhythmConfig,
     RhythmSequence,
     TotalAcceleration,
+    VelocityField,
     compute_velocity,
     detect_kinematic_beats,
     direction_discretize,
@@ -348,3 +349,28 @@ class TestExtractRhythm:
         base = np.diff(np.flatnonzero(extract_rhythm(seq).bits))
         slowed = np.diff(np.flatnonzero(extract_rhythm(repeat_frames(seq, 2)).bits))
         assert abs(base.mean() * 2 - slowed.mean()) <= 1.0
+
+
+def still(shape):
+    """Zero speeds of shape, and the -1 bins that go with them."""
+    return np.zeros(shape), np.full(shape, -1)
+
+
+@pytest.mark.parametrize("misuse, message", [
+    pytest.param(lambda: VelocityField(60.0, np.zeros((4, 2, 3))),
+                 "velocity values must have shape (T-1, J, 2), got (4, 2, 3)", id="velocity-shape"),
+    pytest.param(lambda: DirectionalVelocity(60.0, 1, *still((4, 2))),
+                 "need at least 2 direction bins, got 1", id="directional-bins"),
+    pytest.param(lambda: DirectionalVelocity(60.0, 8, np.zeros((4, 2)), np.full((4, 3), -1)),
+                 "speed and bin need one (T-1, J) shape, got (4, 2), (4, 3)", id="directional-shape"),
+    pytest.param(lambda: DirectionalVelocity(60.0, 8, np.ones((4, 2)), np.full((4, 2), 8)),
+                 "bin must be in [0, 8) where speed > 0, and -1 where it is 0", id="directional-bin-range"),
+    pytest.param(lambda: RhythmSequence(60.0, np.zeros((3, 3), dtype=int)),
+                 "bits must be a vector, got shape (3, 3)", id="rhythm-rank"),
+    pytest.param(lambda: discrete_acceleration(DirectionalVelocity(60.0, 8, *still((1, 2)))),
+                 "need at least 2 velocity steps to differentiate", id="one-velocity-step"),
+])
+def test_misuse_raises_its_message(misuse, message):
+    with pytest.raises(ValueError) as exc:
+        misuse()
+    assert str(exc.value) == message
