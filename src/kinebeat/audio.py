@@ -236,6 +236,12 @@ def _wav_layout(data: bytes, pos: int, size: int) -> tuple:
     return sample_rate, channels, dtype
 
 
+def check_stft(window: int, hop: int) -> None:
+    """onset_envelope's rule, which needs no samples: window >= hop >= 1."""
+    if not (window >= hop >= 1):
+        raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
+
+
 def onset_envelope(
     clip: AudioClip, window: int = DEFAULT_STFT_WINDOW, hop: int = DEFAULT_STFT_HOP
 ) -> OnsetEnvelope:
@@ -257,8 +263,7 @@ def onset_envelope(
     with the same arithmetic, so the envelope is bitwise the serial one and
     the working memory is two blocks, however the threads interleave.
     """
-    if not (window >= hop >= 1):
-        raise ValueError(f"need window >= hop >= 1, got window={window}, hop={hop}")
+    check_stft(window, hop)
     x = clip.samples
     n_frames = 1 + (len(x) - window) // hop if len(x) >= window else 0
     if n_frames < 2:
@@ -286,6 +291,12 @@ def onset_envelope(
     return OnsetEnvelope(frame_rate=clip.sample_rate / hop, values=values)
 
 
+def check_delta(delta: float) -> None:
+    """pick_beats' threshold in standard deviations is nonnegative, so not NaN."""
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+
+
 def pick_beats(
     env: OnsetEnvelope,
     window: float = DEFAULT_PEAK_WINDOW_SECONDS,
@@ -299,8 +310,7 @@ def pick_beats(
     signal's standard deviation. Beat time is t / frame_rate.
     """
     half = peak_half_window(window, env.frame_rate)
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+    check_delta(delta)
     v = env.values
     sigma = float(v.std())
     times = []
@@ -308,6 +318,12 @@ def pick_beats(
         if v[t] >= v[max(0, t - half) : t + half + 1].mean() + delta * sigma:
             times.append(t / env.frame_rate)
     return BeatList(times=np.asarray(times, dtype=np.float64))
+
+
+def check_bpm_range(bpm_min: float, bpm_max: float) -> None:
+    """estimate_tempo's rule, which needs no envelope: 0 < bpm_min < bpm_max."""
+    if not (bpm_min < bpm_max) or bpm_min <= 0:
+        raise ValueError(f"need 0 < bpm_min < bpm_max, got {bpm_min}, {bpm_max}")
 
 
 def estimate_tempo(
@@ -321,8 +337,7 @@ def estimate_tempo(
     candidate lag or shows no periodicity (constant envelope, or no lag
     with positive correlation).
     """
-    if not (bpm_min < bpm_max) or bpm_min <= 0:
-        raise ValueError(f"need 0 < bpm_min < bpm_max, got {bpm_min}, {bpm_max}")
+    check_bpm_range(bpm_min, bpm_max)
     fr = env.frame_rate
     longest = 60.0 * fr / bpm_min
     if not math.isfinite(longest):

@@ -52,16 +52,11 @@ def _read_file(path: str):
     empty file, and a FIFO or /dev/stdin cannot be mapped). Every parser takes either form."""
     import mmap
 
-    try:
-        with open(path, "rb") as file:
-            info = os.fstat(file.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size > 0:
-                return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-            return file.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
-    except MemoryError:
-        raise ValueError(f"{path}: out of memory") from None
+    with open(path, "rb") as file:
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+            return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        return file.read()
 
 
 def _write_output(payload: str, output) -> None:
@@ -75,9 +70,11 @@ def _write_output(payload: str, output) -> None:
 
 @contextlib.contextmanager
 def _naming(path):
-    """A ValueError raised in the block names path, and so does running out of memory there."""
+    """An OSError in the block becomes "cannot read path"; a ValueError or MemoryError there names path."""
     try:
         yield
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     except MemoryError:
@@ -86,9 +83,8 @@ def _naming(path):
 
 def _parse_file(path, parse):
     """parse(the contents of path, from _read_file), under _naming(path)."""
-    data = _read_file(path)
     with _naming(path):
-        return parse(data)
+        return parse(_read_file(path))
 
 
 def _parse_beats(data: bytes) -> audio.BeatList:
@@ -118,9 +114,9 @@ def _cmd_extract_rhythm(args) -> int:
     except ValueError:
         raise ValueError(f'--clip must be a number of seconds or "none", got {args.clip!r}') from None
     spec = None if seconds is None else pose.ClipSpec(duration=seconds)
-    seq = _parse_file(args.poses, pose.parse_pose_file)
     base = Path(args.output) if args.output else Path(Path(args.poses).stem + ".rhythm.json")
     with _naming(args.poses):
+        seq = pose.parse_pose_file(_read_file(args.poses))
         if spec is None:
             docs = {base: rhythm.extract_rhythm(seq, config).to_json()}
         else:
@@ -142,8 +138,11 @@ def _cmd_extract_rhythm(args) -> int:
 
 
 def _cmd_detect_beats(args) -> int:
-    clip = _parse_file(args.audio, audio.read_wav)
+    audio.check_stft(args.stft_window, args.stft_hop)
+    rhythm.peak_half_window(args.peak_window)  # at its default rate: positive and finite
+    audio.check_delta(args.delta)
     with _naming(args.audio):
+        clip = audio.read_wav(_read_file(args.audio))
         env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
         beats = audio.pick_beats(env, window=args.peak_window, delta=args.delta)
     _write_output(beats.to_json().decode("utf-8"), args.output)
@@ -151,8 +150,10 @@ def _cmd_detect_beats(args) -> int:
 
 
 def _cmd_tempo(args) -> int:
-    clip = _parse_file(args.audio, audio.read_wav)
+    audio.check_stft(args.stft_window, args.stft_hop)
+    audio.check_bpm_range(args.bpm_min, args.bpm_max)
     with _naming(args.audio):
+        clip = audio.read_wav(_read_file(args.audio))
         env = audio.onset_envelope(clip, window=args.stft_window, hop=args.stft_hop)
         estimate = audio.estimate_tempo(env, bpm_min=args.bpm_min, bpm_max=args.bpm_max)
     _write_output(estimate.to_json().decode("utf-8"), args.output)
@@ -191,6 +192,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("--phase-align, --tempo-gen and --tempo-ref need --format json")
     if bool(args.tempo_gen) != bool(args.tempo_ref):
         raise ValueError("--tempo-gen and --tempo-ref must be given together")
+    metrics.check_tolerance(args.tolerance)
     gen_paths = sorted(args.gen)
     ref_paths = sorted(args.ref)
     if len(gen_paths) != len(ref_paths):

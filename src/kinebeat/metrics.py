@@ -128,12 +128,17 @@ def _report_from_times(gen: np.ndarray, ref: np.ndarray, tolerance: float) -> Al
     )
 
 
+def check_tolerance(tolerance: float) -> None:
+    """match_beats' and phase_align's tolerance is positive, so not NaN."""
+    if not (tolerance > 0):
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+
+
 def match_beats(
     gen: BeatList, ref: BeatList, tolerance: float = DEFAULT_TOLERANCE_SECONDS
 ) -> AlignmentReport:
     """Score the alignment of generated beats against reference beats."""
-    if not (tolerance > 0):
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    check_tolerance(tolerance)
     return _report_from_times(gen.times, ref.times, tolerance)
 
 
@@ -190,8 +195,7 @@ def phase_align(
         raise ValueError(f"step must be positive and finite, got {step!r}")
     if not (step <= search_range < math.inf):
         raise ValueError(f"search range {search_range!r} must be finite and >= step {step!r}")
-    if not (tolerance > 0):
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    check_tolerance(tolerance)
     steps = search_range / step
     if steps > MAX_PHASE_STEPS:
         raise ValueError(f"search range / step must be <= {MAX_PHASE_STEPS}, got {steps!r}")

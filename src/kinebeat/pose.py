@@ -25,10 +25,6 @@ DEFAULT_CLIP_SECONDS = 5.12
 DEFAULT_CONFIDENCE_THRESHOLD = 0.3
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-finite literal {token!r} not accepted")
-
-
 def json_number(value, what: str) -> float:
     """value as a float; a bool, a non-number or an int too large for a float raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -69,11 +65,11 @@ def number_array(value, what: str, dtype=np.float64) -> np.ndarray:
     return finite_array(value, what, 1, dtype=dtype)
 
 
-def load_json(data, what: str, parse_constant=None):
+def load_json(data, what: str):
     """The JSON document in UTF-8 data, bytes or a read-only mmap; bad UTF-8 or JSON raises
     ValueError(f"{what}: ...").
 
-    NaN and Infinity literals parse as floats unless parse_constant raises.
+    NaN and Infinity literals parse as floats, which the data types refuse by value.
     The cyclic garbage collector is off while json.loads runs, since a decoded
     document holds no reference cycles and its rescans of the growing document
     cost time; the collector's state is restored afterwards.
@@ -81,7 +77,7 @@ def load_json(data, what: str, parse_constant=None):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(str(data, "utf-8"), parse_constant=parse_constant)
+        return json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what}: {exc}") from exc
     finally:
@@ -186,15 +182,15 @@ class ClipSpec:
 def parse_pose_file(data) -> PoseSequence:
     """Parse the documented keypoint JSON format into a validated PoseSequence.
 
-    Rejects malformed JSON, NaN/Infinity literals, ragged joint counts,
-    non-finite coordinates, out-of-range confidences, and T < 3. Errors
-    name the offending frame index where one exists.
+    Rejects malformed JSON, ragged joint counts, non-finite coordinates (NaN
+    and Infinity literals included), out-of-range confidences, and T < 3.
+    Errors name the offending frame index where one exists.
 
     A file whose bytes hold no true or false, and whose frames convert in one
     np.asarray to an int64 or float64 array of shape (T, J, 3), skips the
     per-value loop; anything else takes it, and it alone words the errors.
     """
-    doc = load_json(data, "malformed keypoint JSON", parse_constant=_reject_constant)
+    doc = load_json(data, "malformed keypoint JSON")
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
         raise ValueError('keypoint JSON must be an object with "fps" and "frames"')
     raw = doc["frames"]
@@ -235,6 +231,12 @@ def serialize_pose_file(seq: PoseSequence) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def check_confidence_threshold(threshold: float) -> None:
+    """interpolate_low_confidence's rule, which needs no keypoints: threshold is in [0, 1]."""
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+
+
 def interpolate_low_confidence(
     seq: PoseSequence, threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 ) -> PoseSequence:
@@ -246,8 +248,7 @@ def interpolate_low_confidence(
     Repaired confidences are set to threshold, which makes the operation
     idempotent at a fixed threshold.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+    check_confidence_threshold(threshold)
     frames = seq.frames.copy()
     conf = frames[:, :, 2]
     invalid = conf < threshold

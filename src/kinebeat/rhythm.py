@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .pose import DEFAULT_CONFIDENCE_THRESHOLD, PoseSequence, finite_array, load_json, number_array
-from .pose import interpolate_low_confidence, positive_number
+from .pose import check_confidence_threshold, interpolate_low_confidence, positive_number
 
 DEFAULT_BINS = 8
 DEFAULT_WINDOW_SECONDS = 0.3
@@ -61,6 +61,14 @@ class VelocityField(_FrameField):
             raise ValueError(f"velocity values must have shape (T-1, J, 2), got {self.values.shape}")
 
 
+def check_bins(bins: int) -> None:
+    """A direction bin count is at least 2 and fits in int64."""
+    if bins < 2:
+        raise ValueError(f"need at least 2 direction bins, got {bins}")
+    if bins > np.iinfo(np.int64).max:
+        raise ValueError(f"direction bins must fit in int64, got {bins}")
+
+
 @dataclass(frozen=True)
 class DirectionalVelocity:
     """Per-joint speed and direction bin, both of shape (T-1, J).
@@ -76,8 +84,7 @@ class DirectionalVelocity:
 
     def __post_init__(self):
         object.__setattr__(self, "fps", positive_number(self.fps, "fps"))
-        if self.bins < 2:
-            raise ValueError(f"need at least 2 direction bins, got {self.bins}")
+        check_bins(self.bins)
         speed = finite_array(self.speed, "speeds", 2, nonnegative=True)
         index = np.asarray(self.bin)
         object.__setattr__(self, "speed", speed)
@@ -165,6 +172,12 @@ class RhythmConfig:
     min_rel: float = DEFAULT_MIN_REL
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
 
+    def __post_init__(self):  # the stages' rules that need no input, checked before any is read
+        check_confidence_threshold(self.confidence_threshold)
+        check_bins(self.bins)
+        peak_half_window(self.window)
+        check_thresholds(self.min_value, self.min_rel)
+
 
 def compute_velocity(seq: PoseSequence) -> VelocityField:
     """First-order temporal difference of the keypoint coordinates."""
@@ -180,10 +193,7 @@ def direction_discretize(vel: VelocityField, bins: int = DEFAULT_BINS) -> Direct
     clamped into the last sector. Zero-magnitude velocities carry no
     direction and get bin -1.
     """
-    if bins < 2:
-        raise ValueError(f"need at least 2 direction bins, got {bins}")
-    if bins > np.iinfo(np.int64).max:
-        raise ValueError(f"direction bins must fit in int64, got {bins}")
+    check_bins(bins)
     vx = vel.values[:, :, 0]
     vy = vel.values[:, :, 1]
     speed = np.sqrt(vx * vx + vy * vy)
@@ -214,11 +224,18 @@ def total_acceleration(aq: DiscreteAcceleration) -> TotalAcceleration:
     return TotalAcceleration(fps=aq.fps, values=totals)
 
 
-def peak_half_window(window: float, rate: float) -> int:
-    """Half-width in frames, round(window * rate / 2), of a peak window of `window` seconds."""
+def peak_half_window(window: float, rate: float = 1.0) -> int:
+    """Half-width in frames, round(window * rate / 2), of a peak window of `window` seconds.
+    At the default rate, 1 Hz, it checks window alone: it must be positive and finite."""
     if not (window > 0 and window * rate < math.inf):
         raise ValueError(f"window must be positive and finite in frames, got {window!r} s")
     return int(round(window * rate / 2.0))
+
+
+def check_thresholds(min_value: float, min_rel: float) -> None:
+    """detect_kinematic_beats' beat floors are nonnegative, so not NaN."""
+    if not (min_value >= 0 and min_rel >= 0):
+        raise ValueError("thresholds must be nonnegative")
 
 
 def windowed_peaks(values: np.ndarray, half: int, floor: float) -> np.ndarray:
@@ -252,8 +269,7 @@ def detect_kinematic_beats(
     t + 2 to align with the original frames.
     """
     half = peak_half_window(window, acc.fps)
-    if not (min_value >= 0 and min_rel >= 0):
-        raise ValueError("thresholds must be nonnegative")
+    check_thresholds(min_value, min_rel)
     a = acc.values
     threshold = max(min_value, min_rel * float(a.max())) if len(a) else min_value
     bits = np.zeros(len(a) + 2, dtype=np.uint8)

@@ -21,7 +21,7 @@ from scipy.io import wavfile
 
 sys.path.insert(0, str(Path(__file__).parent))  # for tests.oracles as plain `oracles`
 
-from kinebeat.pose import PoseSequence, _reject_constant, json_number, load_json
+from kinebeat.pose import PoseSequence, json_number, load_json
 
 
 def pose_from_xy(xy, fps=60.0, conf=1.0):
@@ -129,7 +129,7 @@ def pick_beats_loop(v, frame_rate, window, delta):
 
 def parse_pose_loop(data: bytes) -> PoseSequence:
     """parse_pose_file as it was before its one-conversion path: every value checked in a loop."""
-    doc = load_json(data, "malformed keypoint JSON", parse_constant=_reject_constant)
+    doc = load_json(data, "malformed keypoint JSON")
     if not isinstance(doc, dict) or "fps" not in doc or "frames" not in doc:
         raise ValueError('keypoint JSON must be an object with "fps" and "frames"')
     raw = doc["frames"]

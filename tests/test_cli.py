@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from kinebeat import cli
 from kinebeat.audio import BeatList, onset_envelope, read_wav
@@ -504,21 +505,8 @@ class TestDeeplyNestedJson:
 
 
 class TestPeakWindowFlags:
-    """extract-rhythm --window and detect-beats --peak-window go through one check."""
-
-    @pytest.mark.parametrize("command, flag, input_flag", [
-        ("extract-rhythm", "--window", "--poses"),
-        ("detect-beats", "--peak-window", "--audio"),
-    ])
-    def test_infinite_window_exits_2(self, tmp_path, capsys, command, flag, input_flag):
-        poses = tmp_path / "osc.json"
-        poses.write_bytes(serialize_pose_file(triangle_pose(n_frames=320, half_period=30)))
-        wav = tmp_path / "clicks.wav"
-        wav.write_bytes(click_wav_bytes(120, seconds=2.0))
-        path = poses if input_flag == "--poses" else wav
-        args = [command, input_flag, str(path), flag, "inf", "--output", str(tmp_path / "out.json")]
-        line = one_error_line(main(args), *capsys.readouterr())
-        assert line.startswith(f"error: {path}: window must be positive and finite")
+    """extract-rhythm --window and detect-beats --peak-window go through one check, which a huge
+    finite window passes (their refusals are in TestBadNumericFlags)."""
 
     def test_huge_window_matches_oracle(self, tmp_path, rng):
         frames = random_pose_frames(rng, 60, 3)
@@ -592,6 +580,12 @@ class TestBadJsonNumbers:
                      "bad.json: keypoint value at frame 0 must be a number, got True", id="pose-bool"),
         pytest.param("poses", '{"fps": 60, "frames": [[[0, 0, 1]], 5, [[0, 0, 1]]]}',
                      "bad.json: frame 1 is not a list of keypoints", id="pose-frame-not-a-list"),
+        pytest.param("poses", '{"fps": 60, "frames": [[[0, 0, 1]], [[NaN, 0, 1]], [[0, 0, 1]]]}',
+                     "bad.json: non-finite coordinate at frame 1", id="pose-nan-literal"),
+        pytest.param("poses", '{"fps": 60, "frames": [[[0, 0, 1]], [[0, 0, Infinity]], [[0, 0, 1]]]}',
+                     "bad.json: confidence out of [0, 1] at frame 1", id="pose-infinity-confidence"),
+        pytest.param("poses", '{"fps": NaN, "frames": [[[0, 0, 1]], [[1, 0, 1]], [[0, 0, 1]]]}',
+                     "bad.json: fps must be a positive finite number, got nan", id="pose-fps-nan"),
         pytest.param("ref", '{"bits": [0, 0, 1, 0]}',
                      'bad.json: rhythm JSON must be an object with "fps" and "bits"', id="rhythm-no-fps"),
     ])
@@ -691,27 +685,29 @@ class TestReadFile:
         assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
+WINDOW = "window must be positive and finite in frames, got"
+POSITIVE_BPM = "need 0 < bpm_min < bpm_max, got"
+
+
 class TestBadNumericFlags:
-    """A NaN threshold, a value whose frame count overflows or a --clip that is not a number
-    exits 2, not 0 or a traceback."""
+    """A bad numeric flag exits 2 with one line, not 0 or a traceback. A value that no input can
+    make valid is refused before any file is read, by a line that names no file and no clip; a
+    value that only the input's rate makes invalid is refused with the file's name."""
 
     @pytest.mark.parametrize("command, flags, message", [
-        pytest.param("extract-rhythm", ["--min-value", "nan"], "thresholds must be nonnegative",
-                     id="min-value-nan"),
-        pytest.param("extract-rhythm", ["--min-rel", "nan"], "thresholds must be nonnegative",
-                     id="min-rel-nan"),
-        pytest.param("detect-beats", ["--delta", "nan"], "delta must be nonnegative", id="delta-nan"),
-        pytest.param("extract-rhythm", ["--clip", "1e308"], "not a finite frame count",
+        pytest.param("extract-rhythm", ["--clip", "1e308"],
+                     "{path}: clip of 1e+308 s at 60.0 fps is not a finite frame count",
                      id="clip-frames-overflow"),
-        pytest.param("extract-rhythm", ["--clip", "abc"],
-                     """--clip must be a number of seconds or "none", got 'abc'""", id="clip-not-a-number"),
-        pytest.param("tempo", ["--bpm-min", "1e-320"], "longest lag", id="bpm-min-lag-overflow"),
-        pytest.param("extract-rhythm", ["--bins", "1" + "0" * 20], "direction bins must fit in int64",
-                     id="bins-overflow"),
-        pytest.param("detect-beats", ["--stft-window", "256", "--stft-hop", "512"],
-                     "need window >= hop >= 1, got window=256, hop=512", id="stft-window-below-hop"),
+        pytest.param("extract-rhythm", ["--window", "1e308"],
+                     f"{{path}}: {WINDOW} 1e+308 s (clip 0, frames 0-306)", id="window-frames-overflow"),
+        pytest.param("detect-beats", ["--peak-window", "1e308"], f"{{path}}: {WINDOW} 1e+308 s",
+                     id="peak-window-frames-overflow"),
+        pytest.param("tempo", ["--bpm-min", "1e-320"],
+                     "{path}: the longest lag at 1e-320 BPM and 86.13 Hz is not finite",
+                     id="bpm-min-lag-overflow"),
         pytest.param("tempo", ["--bpm-min", "200", "--bpm-max", "201"],
-                     "no integer lag lies in [200.0, 201.0] BPM at 86.13 Hz", id="bpm-range-without-lag"),
+                     "{path}: no integer lag lies in [200.0, 201.0] BPM at 86.13 Hz",
+                     id="bpm-range-without-lag"),
     ])
     def test_exits_2(self, tmp_path, capsys, command, flags, message):
         if command == "extract-rhythm":
@@ -723,7 +719,71 @@ class TestBadNumericFlags:
             path.write_bytes(click_wav_bytes(120, seconds=3.0))
             source = ["--audio", str(path)]
         code = main([command, *source, *flags, "--output", str(tmp_path / "out.json")])
-        assert message in one_error_line(code, *capsys.readouterr())
+        assert one_error_line(code, *capsys.readouterr()) == "error: " + message.format(path=path)
+        assert not list(tmp_path.glob("out*.json"))
+
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("extract-rhythm", ["--conf-threshold", "2"], "threshold must be in [0, 1], got 2.0",
+                     id="conf-threshold-above-one"),
+        pytest.param("extract-rhythm", ["--conf-threshold", "-0.5"], "threshold must be in [0, 1], got -0.5",
+                     id="conf-threshold-negative"),
+        pytest.param("extract-rhythm", ["--conf-threshold", "nan"], "threshold must be in [0, 1], got nan",
+                     id="conf-threshold-nan"),
+        pytest.param("extract-rhythm", ["--bins", "1"], "need at least 2 direction bins, got 1",
+                     id="bins-below-two"),
+        pytest.param("extract-rhythm", ["--bins", "1" + "0" * 20],
+                     "direction bins must fit in int64, got 100000000000000000000", id="bins-overflow"),
+        pytest.param("extract-rhythm", ["--min-value", "-1"], "thresholds must be nonnegative",
+                     id="min-value-negative"),
+        pytest.param("extract-rhythm", ["--min-value", "nan"], "thresholds must be nonnegative",
+                     id="min-value-nan"),
+        pytest.param("extract-rhythm", ["--min-rel", "-0.1"], "thresholds must be nonnegative",
+                     id="min-rel-negative"),
+        pytest.param("extract-rhythm", ["--min-rel", "nan"], "thresholds must be nonnegative",
+                     id="min-rel-nan"),
+        pytest.param("detect-beats", ["--delta", "-1"], "delta must be nonnegative, got -1.0",
+                     id="delta-negative"),
+        pytest.param("detect-beats", ["--delta", "nan"], "delta must be nonnegative, got nan",
+                     id="delta-nan"),
+        pytest.param("extract-rhythm", ["--window", "0"], f"{WINDOW} 0.0 s", id="window-zero"),
+        pytest.param("extract-rhythm", ["--window", "-0.3"], f"{WINDOW} -0.3 s", id="window-negative"),
+        pytest.param("extract-rhythm", ["--window", "inf"], f"{WINDOW} inf s", id="window-infinite"),
+        pytest.param("extract-rhythm", ["--window", "nan"], f"{WINDOW} nan s", id="window-nan"),
+        pytest.param("detect-beats", ["--peak-window", "0"], f"{WINDOW} 0.0 s", id="peak-window-zero"),
+        pytest.param("detect-beats", ["--peak-window=-inf"], f"{WINDOW} -inf s", id="peak-window-negative"),
+        pytest.param("detect-beats", ["--peak-window", "inf"], f"{WINDOW} inf s", id="peak-window-infinite"),
+        pytest.param("detect-beats", ["--stft-window", "256", "--stft-hop", "512"],
+                     "need window >= hop >= 1, got window=256, hop=512", id="stft-window-below-hop"),
+        pytest.param("tempo", ["--stft-window", "256", "--stft-hop", "512"],
+                     "need window >= hop >= 1, got window=256, hop=512", id="tempo-stft-window-below-hop"),
+        pytest.param("detect-beats", ["--stft-hop", "0"], "need window >= hop >= 1, got window=1024, hop=0",
+                     id="stft-hop-zero"),
+        pytest.param("tempo", ["--bpm-min", "100", "--bpm-max", "90"], f"{POSITIVE_BPM} 100.0, 90.0",
+                     id="bpm-min-above-max"),
+        pytest.param("tempo", ["--bpm-min", "120", "--bpm-max", "120"], f"{POSITIVE_BPM} 120.0, 120.0",
+                     id="bpm-min-equals-max"),
+        pytest.param("tempo", ["--bpm-min", "0"], f"{POSITIVE_BPM} 0.0, 180.0", id="bpm-min-zero"),
+        pytest.param("tempo", ["--bpm-min", "-60"], f"{POSITIVE_BPM} -60.0, 180.0", id="bpm-min-negative"),
+        pytest.param("tempo", ["--bpm-min", "nan"], f"{POSITIVE_BPM} nan, 180.0", id="bpm-min-nan"),
+        pytest.param("evaluate", ["--tolerance", "0"], "tolerance must be positive, got 0.0",
+                     id="tolerance-zero"),
+        pytest.param("evaluate", ["--tolerance", "-0.2"], "tolerance must be positive, got -0.2",
+                     id="tolerance-negative"),
+        pytest.param("evaluate", ["--tolerance", "nan"], "tolerance must be positive, got nan",
+                     id="tolerance-nan"),
+        pytest.param("extract-rhythm", ["--clip", "abc"],
+                     """--clip must be a number of seconds or "none", got 'abc'""", id="clip-not-a-number"),
+        pytest.param("extract-rhythm", ["--clip", "0"],
+                     "clip duration must be a positive finite number, got 0.0", id="clip-zero"),
+    ])
+    def test_refused_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, command, flags, message):
+        read = []
+        monkeypatch.setattr(cli, "_read_file", lambda path: read.append(path))
+        source = {"extract-rhythm": ["--poses", "take.json"], "detect-beats": ["--audio", "song.wav"],
+                  "tempo": ["--audio", "song.wav"], "evaluate": ["--gen", "gen.json", "--ref", "ref.json"]}
+        code = main([command, *source[command], *flags, "--output", str(tmp_path / "out.json")])
+        assert one_error_line(code, *capsys.readouterr()) == f"error: {message}"
+        assert read == []
         assert not list(tmp_path.glob("out*.json"))
 
 
@@ -791,6 +851,54 @@ class TestOutOfMemory:
         monkeypatch.setattr(BeatList, "to_json", no_memory)
         line = one_error_line(main(["detect-beats", "--audio", str(wav)]), *capsys.readouterr())
         assert line == "error: out of memory in detect-beats"
+
+
+# Runs main in a child and prints its peak resident set (VmHWM, bytes) after import and after main.
+PEAK_MAIN = """
+import sys
+import kinebeat.cli
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+after_import = peak()
+code = kinebeat.cli.main(sys.argv[1:])
+print(code, after_import, peak())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+class TestMemoryModel:
+    """README's memory model on a 45 s take, as growth of the child's own VmHWM beyond its import:
+    extract-rhythm --clip none about 5.1 bytes per byte of pose JSON (the decoded document);
+    detect-beats the WAV's size (the mapping's pages) plus 8 bytes per frame (the float64 clip).
+    MARGIN covers what does not grow with the take, mostly the onset envelope's block buffers
+    on two threads (12.6 MB), which at 45 s outweigh the mapping they follow."""
+
+    SECONDS, MARGIN = 45, 8 << 20
+
+    @pytest.mark.parametrize("command", ["extract-rhythm", "detect-beats"])
+    def test_peak_growth_within_the_model(self, tmp_path, command):
+        rng = np.random.default_rng(45)
+        if command == "extract-rhythm":
+            path = tmp_path / "take.json"
+            frames = random_pose_frames(rng, self.SECONDS * 60, 17, scale=500.0)
+            path.write_bytes(serialize_pose_file(PoseSequence(60.0, frames)))
+            argv, model = ["--poses", str(path), "--clip", "none"], 5.1 * path.stat().st_size
+        else:
+            path, n = tmp_path / "song.wav", self.SECONDS * 22050
+            wavfile.write(path, 22050, rng.uniform(-0.5, 0.5, (n, 2)).astype(np.float32))
+            argv, model = ["--audio", str(path)], path.stat().st_size + 8 * n
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", PEAK_MAIN, command, *argv,
+                               "--output", str(tmp_path / "out.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stderr == "", proc.stderr
+        code, after_import, after_main = map(int, proc.stdout.split("\n")[-2].split())
+        assert code == 0
+        assert after_main - after_import <= model + self.MARGIN, (after_main - after_import, model)
 
 
 class TestGradcheckCommand:

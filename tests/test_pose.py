@@ -1,6 +1,8 @@
 import ast
 import gc
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,43 @@ class TestOneConversionPath:
                 assert checked == ["fps"] if name != "flagged" else len(checked) == 1 + 20 * 4 * 3
 
 
+class TestNonFiniteLiterals:
+    """NaN, Infinity and -Infinity parse as floats, as 1e999 does, and the value checks refuse each
+    of them with the same line naming the frame, on either path and in the per-value loop's
+    reference."""
+
+    @pytest.mark.parametrize("where, message", [
+        (0, "non-finite coordinate at frame 1"),
+        (1, "non-finite coordinate at frame 1"),
+        (2, "confidence out of [0, 1] at frame 1"),
+    ])
+    @pytest.mark.parametrize("path", ["one-conversion", "per-value-loop"])
+    def test_one_line_naming_the_frame(self, monkeypatch, path, where, message):
+        checked, json_number = [], pose.json_number
+        monkeypatch.setattr(pose, "json_number", lambda v, what: checked.append(what) or json_number(v, what))
+        extra = ', "true": 1' if path == "per-value-loop" else ""  # a true anywhere takes the loop
+        for text in ["NaN", "Infinity", "-Infinity", "1e999"]:
+            kp = ["0.5"] * 3
+            kp[where] = text
+            data = ('{"fps": 60, "frames": [[[1, 2, 0.5]], [[%s]], [[1, 2.5, 1]]]%s}'
+                    % (", ".join(kp), extra)).encode()
+            for parse in (parse_pose_file, parse_pose_loop):
+                with pytest.raises(ValueError) as exc:
+                    parse(data)
+                assert str(exc.value) == message, (text, parse)
+        assert any(what.startswith("keypoint value") for what in checked) == (path == "per-value-loop")
+
+    @pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    def test_fps_is_refused_by_value_and_an_extra_key_accepted(self, text, shown):
+        frames = b"[[[1, 2, 0.5]], [[1, 2, 0.5]], [[1, 2.5, 1]]]"
+        for parse in (parse_pose_file, parse_pose_loop):
+            with pytest.raises(ValueError) as exc:
+                parse(b'{"fps": %s, "frames": %s}' % (text.encode(), frames))
+            assert str(exc.value) == f"fps must be a positive finite number, got {shown}"
+            seq = parse(b'{"fps": 60, "frames": %s, "note": %s}' % (frames, text.encode()))
+            assert seq.fps == 60.0 and seq.frames.tolist() == json.loads(frames)
+
+
 class TestLoadJsonCollector:
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("data", [b'{"a": [1, 2]}', b'{"a": [1, 2'])
@@ -264,6 +303,100 @@ class TestLoadJsonCollector:
         finally:
             (gc.enable if was else gc.disable)()
         assert seen == [False]
+
+
+class TestRunOnTwoThreads:
+    """run_on_two_threads' own contract, on plain Python work functions: the caller runs
+    items[::2] and one helper items[1::2] under the caller's np.errstate; one item, or no thread
+    to be had, runs work(items) in the caller; an exception on either side reaches the caller
+    once the helper is joined, and no thread outlives the call."""
+
+    @staticmethod
+    def record_starts(monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        return started
+
+    @staticmethod
+    def record_parts():
+        parts = []
+        return parts, lambda items: parts.append((threading.get_ident(), list(items)))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_the_caller_runs_the_even_items_and_one_helper_the_odd(self, monkeypatch, n):
+        started = self.record_starts(monkeypatch)
+        parts, work = self.record_parts()
+        pose.run_on_two_threads(work, list(range(n)))
+        assert len(started) == 1 and not started[0].is_alive()
+        caller, helper = threading.get_ident(), started[0].ident
+        assert helper != caller
+        assert sorted(parts, key=lambda part: part[0] != caller) == [
+            (caller, list(range(0, n, 2))), (helper, list(range(1, n, 2)))]
+
+    @pytest.mark.parametrize("items", [[], [7]])
+    def test_no_second_item_runs_every_item_in_the_caller(self, monkeypatch, items):
+        started = self.record_starts(monkeypatch)
+        parts, work = self.record_parts()
+        pose.run_on_two_threads(work, items)
+        assert parts == [(threading.get_ident(), items)] and started == []
+
+    def test_no_thread_to_start_runs_every_item_in_the_caller(self, monkeypatch):
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        parts, work = self.record_parts()
+        threads = threading.active_count()
+        pose.run_on_two_threads(work, list(range(5)))
+        assert parts == [(threading.get_ident(), list(range(5)))]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_the_helper_sees_the_callers_errstate(self, monkeypatch, state):
+        started = self.record_starts(monkeypatch)
+        seen = {}
+        with np.errstate(all=state):
+            pose.run_on_two_threads(lambda items: seen.setdefault(threading.get_ident(), np.geterr()), [0, 1])
+            expected = np.geterr()
+        assert expected != np.geterr()  # the state differs from the default a new thread starts with
+        assert seen == {threading.get_ident(): expected, started[0].ident: expected}
+
+    def test_a_helper_exception_is_raised_in_the_caller_after_the_join(self, monkeypatch):
+        class HelperFailed(Exception):
+            pass
+
+        started = self.record_starts(monkeypatch)
+        caller, raised, done = threading.get_ident(), threading.Event(), []
+
+        def work(items):
+            if threading.get_ident() == caller:  # finishes only once the helper has failed
+                assert raised.wait(timeout=60)
+                done.append(list(items))
+            else:
+                raised.set()
+                raise HelperFailed(list(items))
+
+        with pytest.raises(HelperFailed) as exc:
+            pose.run_on_two_threads(work, [0, 1, 2])
+        assert exc.value.args == ([1],) and done == [[0, 2]]
+        assert not started[0].is_alive()
+
+    def test_a_caller_exception_still_joins_the_helper(self, monkeypatch):
+        class CallerFailed(Exception):
+            pass
+
+        started = self.record_starts(monkeypatch)
+        caller, done = threading.get_ident(), []
+
+        def work(items):
+            if threading.get_ident() == caller:
+                raise CallerFailed
+            time.sleep(0.05)  # the helper outlasts the caller's failure unless joined
+            done.append(list(items))
+
+        with pytest.raises(CallerFailed):
+            pose.run_on_two_threads(work, [0, 1])
+        assert done == [[1]] and not started[0].is_alive()
 
 
 class TestInterpolate:
